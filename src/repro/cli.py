@@ -427,7 +427,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     policy = ServePolicy(
         max_batch=args.max_batch,
         deadline_ms=args.deadline_ms,
-        flush_margin_ms=args.flush_margin_ms,
         max_queue=args.max_queue,
         max_inflight=(
             args.max_inflight
@@ -527,7 +526,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     policy = ServePolicy(
         max_batch=args.max_batch,
         deadline_ms=args.deadline_ms,
-        flush_margin_ms=args.flush_margin_ms,
         max_queue=args.max_queue,
         max_inflight=(
             args.max_inflight
@@ -623,10 +621,9 @@ def _render_top(state: dict) -> str:
                 f"{counters.get('serve.rejected', 0)} / "
                 f"{counters.get('serve.quarantined', 0)}"
             ),
-            "flush full/deadline/drain": (
+            "flush full/partial": (
                 f"{counters.get('serve.flush.full', 0)}/"
-                f"{counters.get('serve.flush.deadline', 0)}/"
-                f"{counters.get('serve.flush.drain', 0)}"
+                f"{counters.get('serve.flush.partial', 0)}"
             ),
             "slo objective": (
                 f"p99<={objective.get('p99_ms', 0):g} ms @ "
@@ -1269,11 +1266,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--deadline-ms", type=float, default=50.0,
-            help="per-request latency budget (default 50 ms)",
-        )
-        p.add_argument(
-            "--flush-margin-ms", type=float, default=5.0,
-            help="budget headroom reserved for batch execution (default 5 ms)",
+            help="per-request latency budget, reported with the policy; it "
+            "does not time flushes (default 50 ms)",
         )
         p.add_argument(
             "--max-queue", type=int, default=1024,

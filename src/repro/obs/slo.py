@@ -18,6 +18,12 @@ fast one (minutes, pages on sudden outages) and a slow one (tens of
 minutes, catches smoldering degradation) — mirroring multi-window
 burn-rate alerting.
 
+Events are counted in one-second buckets on a ring that spans the
+window, so recording is O(1), a horizon query sums at most one bucket
+per second of horizon, and memory is fixed by the window length instead
+of growing with the request rate; windows and horizons resolve to whole
+seconds.
+
 Quarantined requests are *client* errors (the input was invalid); they
 are excluded from availability and tallied separately, so a client
 sending NaNs cannot burn the server's error budget.
@@ -30,10 +36,10 @@ admin endpoint, ``repro top``, and (via the ``slo.`` ledger harvest)
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 
 __all__ = ["SLO", "SLOTracker", "SLO_NAMESPACE"]
@@ -41,6 +47,9 @@ __all__ = ["SLO", "SLOTracker", "SLO_NAMESPACE"]
 #: Gauge namespace :meth:`SLOTracker.publish` writes and the run ledger
 #: harvests into every record's metrics.
 SLO_NAMESPACE = "slo."
+
+#: Width of one accounting bucket, in seconds.
+_BUCKET_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -122,9 +131,13 @@ class SLOTracker:
     def __init__(self, slo: SLO | None = None, clock=time.monotonic) -> None:
         self.slo = slo if slo is not None else SLO.from_env()
         self._clock = clock
-        self._events: deque[tuple[float, bool]] = deque()
         self._lock = threading.Lock()
-        # Window counts (maintained incrementally by the pruner).
+        n_buckets = max(1, math.ceil(self.slo.window_s / _BUCKET_S))
+        # Per-bucket event counts; absolute bucket k lives at k % n_buckets.
+        self._bucket_total = [0] * n_buckets
+        self._bucket_bad = [0] * n_buckets
+        self._head: int | None = None  # newest bucket seen
+        # Window counts (maintained incrementally as buckets expire).
         self._total = 0
         self._bad = 0
         # Lifetime tallies (never pruned).
@@ -144,15 +157,16 @@ class SLOTracker:
         now = self._clock() if now is None else now
         bad = (not ok) or (latency_s * 1000.0 > self.slo.p99_ms)
         with self._lock:
-            self._events.append((now, bad))
+            slot = self._advance_locked(now) % len(self._bucket_total)
+            self._bucket_total[slot] += 1
             self._total += 1
             if bad:
+                self._bucket_bad[slot] += 1
                 self._bad += 1
                 if not ok:
                     self._failures += 1
                 else:
                     self._latency_breaches += 1
-            self._prune_locked(now)
         return bad
 
     def record_client_error(self) -> None:
@@ -160,25 +174,41 @@ class SLOTracker:
         with self._lock:
             self._client_errors += 1
 
-    def _prune_locked(self, now: float) -> None:
-        cutoff = now - self.slo.window_s
-        events = self._events
-        while events and events[0][0] < cutoff:
-            _, bad = events.popleft()
-            self._total -= 1
-            if bad:
-                self._bad -= 1
+    def _advance_locked(self, now: float) -> int:
+        """Expire the buckets that left the window by ``now``; returns
+        the current bucket (never older than the newest one seen)."""
+        current = math.floor(now / _BUCKET_S)
+        head = self._head
+        if head is not None:
+            if current <= head:
+                return head
+            n_buckets = len(self._bucket_total)
+            for k in range(head + 1, min(current, head + n_buckets) + 1):
+                slot = k % n_buckets
+                self._total -= self._bucket_total[slot]
+                self._bad -= self._bucket_bad[slot]
+                self._bucket_total[slot] = self._bucket_bad[slot] = 0
+        self._head = current
+        return current
 
     # -- queries --------------------------------------------------------
-    def _horizon_counts_locked(self, horizon_s: float, now: float):
-        cutoff = now - horizon_s
-        total = bad = 0
-        for stamp, was_bad in reversed(self._events):
-            if stamp < cutoff:
-                break
-            total += 1
-            bad += was_bad
-        return total, bad
+    def _horizon_counts_locked(self, horizon_s: float, head: int):
+        """(total, bad) over the newest ``horizon_s`` seconds of buckets."""
+        n_buckets = len(self._bucket_total)
+        width = max(1, math.ceil(horizon_s / _BUCKET_S))
+        if width >= n_buckets:
+            return self._total, self._bad
+        start = (head - width + 1) % n_buckets
+        stop = head % n_buckets + 1
+        if start < stop:
+            return (
+                sum(self._bucket_total[start:stop]),
+                sum(self._bucket_bad[start:stop]),
+            )
+        return (
+            sum(self._bucket_total[start:]) + sum(self._bucket_total[:stop]),
+            sum(self._bucket_bad[start:]) + sum(self._bucket_bad[:stop]),
+        )
 
     def burn_rate(
         self, horizon_s: float | None = None, now: float | None = None
@@ -191,8 +221,8 @@ class SLOTracker:
         now = self._clock() if now is None else now
         horizon = self.slo.window_s if horizon_s is None else horizon_s
         with self._lock:
-            self._prune_locked(now)
-            total, bad = self._horizon_counts_locked(horizon, now)
+            head = self._advance_locked(now)
+            total, bad = self._horizon_counts_locked(horizon, head)
         if total == 0:
             return 0.0
         return (bad / total) / self.slo.budget_fraction
@@ -205,7 +235,7 @@ class SLOTracker:
         """
         now = self._clock() if now is None else now
         with self._lock:
-            self._prune_locked(now)
+            self._advance_locked(now)
             total, bad = self._total, self._bad
         if total == 0:
             return 0.0
@@ -220,13 +250,13 @@ class SLOTracker:
         """Everything an admin endpoint wants, as one JSON-ready dict."""
         now = self._clock() if now is None else now
         with self._lock:
-            self._prune_locked(now)
+            head = self._advance_locked(now)
             total, bad = self._total, self._bad
             breaches = self._latency_breaches
             failures = self._failures
             client_errors = self._client_errors
-            fast = self._horizon_counts_locked(self.slo.fast_burn_s, now)
-            slow = self._horizon_counts_locked(self.slo.slow_burn_s, now)
+            fast = self._horizon_counts_locked(self.slo.fast_burn_s, head)
+            slow = self._horizon_counts_locked(self.slo.slow_burn_s, head)
         budget = self.slo.budget_fraction
 
         def _burn(counts):
@@ -275,6 +305,8 @@ class SLOTracker:
     def reset(self) -> None:
         """Drop all events and tallies (between benches)."""
         with self._lock:
-            self._events.clear()
+            self._bucket_total = [0] * len(self._bucket_total)
+            self._bucket_bad = [0] * len(self._bucket_bad)
+            self._head = None
             self._total = self._bad = 0
             self._latency_breaches = self._failures = self._client_errors = 0

@@ -75,7 +75,7 @@ def bursty_arrivals(
     ``burst_factor`` times the quiet rate and cover ``burst_fraction`` of
     the time, with the quiet rate scaled so the long-run mean stays
     ``rate_hz``.  This is the trace that stresses queue depth and
-    deadline flushes in a way a plain Poisson stream cannot.
+    batch growth in a way a plain Poisson stream cannot.
     """
     if rate_hz <= 0.0 or duration_s <= 0.0:
         return np.zeros(0, dtype=float)
@@ -344,8 +344,8 @@ class ServeBenchReport:
             "policy": {
                 "max_batch": self.policy.max_batch,
                 "deadline_ms": self.policy.deadline_ms,
-                "flush_margin_ms": self.policy.flush_margin_ms,
                 "max_queue": self.policy.max_queue,
+                "max_inflight": self.policy.max_inflight,
             },
             "workers": self.workers,
             "shard_size": self.shard_size,
@@ -453,9 +453,7 @@ async def _measure_unbatched(runner, bank: np.ndarray, budget_s: float = 0.5) ->
     This is the controlled baseline — the only variable between it and
     the measured serve points is micro-batching itself.
     """
-    async with MicroBatchServer(
-        runner, ServePolicy(max_batch=1, deadline_ms=1000.0, flush_margin_ms=0.0)
-    ) as server:
+    async with MicroBatchServer(runner, ServePolicy(max_batch=1)) as server:
         loop = asyncio.get_running_loop()
         start = loop.time()
         count = 0

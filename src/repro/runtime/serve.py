@@ -1,29 +1,31 @@
-"""Online serving front-end: dynamic micro-batching under a latency budget.
+"""Online serving front-end: work-conserving micro-batching.
 
 The packed datapath earns its 19.2x speedup on *batches*, but production
 BCI traffic arrives one sample at a time.  :class:`MicroBatchServer`
-closes that gap with the classic Clipper-style adaptive batching shape
-(Crankshaw et al., NSDI'17): concurrent clients ``await submit(sample)``
-into a request queue, and a single flusher coroutine coalesces arrivals
-into micro-batches that are flushed when either
-
-* the batch reaches ``ServePolicy.max_batch`` samples (``flush.full``), or
-* the *oldest* queued request is about to run out of latency budget —
-  ``deadline_ms`` minus a ``flush_margin_ms`` headroom reserved for batch
-  execution (``flush.deadline``).
+closes that gap with adaptive batching that never waits to fill a batch:
+concurrent clients ``await submit(sample)`` into a request queue, and a
+single flusher coroutine hands pending requests to the pipeline the
+moment a slot is free, up to ``ServePolicy.max_batch`` of them at a time.
+A lone request therefore leaves at once; a batch grows only while every
+slot is busy and arrivals pile up behind it, which is exactly when
+coalescing pays (UniVSA's own controller likewise streams inputs instead
+of waiting for a batch).  Each flush is counted once, as
+``serve.flush.full`` (the batch left with ``max_batch`` samples) or
+``serve.flush.partial``.
 
 Each micro-batch executes on a
 :class:`~repro.runtime.resilience.ResilientBatchRunner` via a small
 executor with ``ServePolicy.max_inflight`` slots (default 2): while
-batch N executes, the flusher coalesces and dispatches batch N+1, so
+batch N executes, batch N+1 dispatches into the other slot, so
 queue-coalescing and compute overlap instead of serializing.  Fan-out
 stays strictly FIFO — each in-flight batch awaits its predecessor's
 completion gate before resolving futures, so batch N+1 never answers
-before batch N — and dispatch past the cap back-pressures the flusher.
-Per-sample scores/labels — including quarantine sentinels — are fanned
-back to the right futures in arrival order.  ``serve.pipeline.*``
-instruments (slots / inflight / inflight_max gauges, dispatched /
-barriers counters) account for the overlap.
+before batch N — and with every slot busy the flusher back-pressures
+while the queue keeps accepting.  Per-sample scores/labels — including
+quarantine sentinels — are fanned back to the right futures in arrival
+order.  ``serve.pipeline.*`` instruments (slots / inflight /
+inflight_max gauges, dispatched / barriers counters) account for the
+overlap.
 
 Overload is handled by admission control, not collapse: past
 ``max_queue`` queued samples a request is immediately answered with
@@ -89,21 +91,20 @@ __all__ = [
 class ServePolicy:
     """Knobs of the micro-batching front end.
 
-    ``deadline_ms`` is each request's end-to-end latency budget; the
-    flusher releases a partial batch once the oldest queued request has
-    only ``flush_margin_ms`` of that budget left (headroom reserved for
-    batch execution).  ``max_batch`` caps samples per micro-batch and
-    ``max_queue`` caps queued samples — arrivals beyond it are shed with
-    an explicit ``rejected`` response instead of growing an unbounded
-    backlog.  ``max_inflight`` is the pipeline depth: how many
-    micro-batches may execute concurrently (the flusher coalesces batch
-    N+1 while batch N computes; responses still fan out strictly FIFO).
-    ``1`` restores the fully serialized pre-pipeline behaviour.
+    ``max_batch`` caps samples per micro-batch and ``max_queue`` caps
+    queued samples — arrivals beyond it are shed with an explicit
+    ``rejected`` response instead of growing an unbounded backlog.
+    ``max_inflight`` is the pipeline depth: how many micro-batches may
+    execute concurrently.  The flusher sends pending requests as soon as
+    one of these slots is free, so batches grow only while all of them
+    are busy (responses still fan out strictly FIFO); ``1`` fully
+    serializes execution.  ``deadline_ms`` is each request's end-to-end
+    latency budget as reported with the policy; it does not time
+    flushes — no request is held back waiting for a batch to fill.
     """
 
     max_batch: int = 64
     deadline_ms: float = 50.0
-    flush_margin_ms: float = 5.0
     max_queue: int = 1024
     max_inflight: int = 2
 
@@ -112,8 +113,6 @@ class ServePolicy:
             raise ValueError("max_batch must be >= 1")
         if self.deadline_ms <= 0:
             raise ValueError("deadline_ms must be positive")
-        if self.flush_margin_ms < 0:
-            raise ValueError("flush_margin_ms must be >= 0")
         if self.max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         if self.max_inflight < 1:
@@ -122,8 +121,8 @@ class ServePolicy:
     @classmethod
     def from_env(cls, environ=None) -> "ServePolicy":
         """Policy from ``REPRO_SERVE_BATCH`` / ``REPRO_SERVE_DEADLINE_MS``
-        / ``REPRO_SERVE_MARGIN_MS`` / ``REPRO_SERVE_QUEUE`` /
-        ``REPRO_SERVE_INFLIGHT`` (unset keys keep the defaults)."""
+        / ``REPRO_SERVE_QUEUE`` / ``REPRO_SERVE_INFLIGHT`` (unset keys
+        keep the defaults)."""
         env = os.environ if environ is None else environ
 
         def _get(key, cast, default):
@@ -138,15 +137,9 @@ class ServePolicy:
         return cls(
             max_batch=_get("REPRO_SERVE_BATCH", int, cls.max_batch),
             deadline_ms=_get("REPRO_SERVE_DEADLINE_MS", float, cls.deadline_ms),
-            flush_margin_ms=_get("REPRO_SERVE_MARGIN_MS", float, cls.flush_margin_ms),
             max_queue=_get("REPRO_SERVE_QUEUE", int, cls.max_queue),
             max_inflight=max(1, _get("REPRO_SERVE_INFLIGHT", int, cls.max_inflight)),
         )
-
-    @property
-    def flush_after_s(self) -> float:
-        """Queue-time budget before a partial batch must flush."""
-        return max(0.0, (self.deadline_ms - self.flush_margin_ms) / 1000.0)
 
 
 @dataclass(frozen=True)
@@ -429,7 +422,10 @@ class MicroBatchServer:
 
     # -- the flusher ----------------------------------------------------
     async def _flush_loop(self) -> None:
-        policy = self.policy
+        """Work-conserving dispatch: while requests are pending, wait
+        only for an open window and a free slot, then send up to
+        ``max_batch`` of them."""
+        max_batch = self.policy.max_batch
         while True:
             if not self._pending:
                 if self._closing:
@@ -437,56 +433,40 @@ class MicroBatchServer:
                 await self._wake.wait()
                 self._wake.clear()
                 continue
-            now = self._loop.time()
-            flush_at = self._pending[0].arrival + policy.flush_after_s
-            if (
-                len(self._pending) < policy.max_batch
-                and now < flush_at
-                and not self._closing
-            ):
-                # Wait for more arrivals, but never past the oldest
-                # request's remaining budget.
-                try:
-                    await asyncio.wait_for(self._wake.wait(), flush_at - now)
-                except asyncio.TimeoutError:
-                    pass
-                self._wake.clear()
-                continue
-            if len(self._pending) >= policy.max_batch:
-                trigger = "full"
-            elif now >= flush_at:
-                trigger = "deadline"
-            else:
-                trigger = "drain"
-            batch = self._pending[: policy.max_batch]
-            del self._pending[: policy.max_batch]
+            await self._slot_free()
+            # Only this loop takes from _pending, so it is still
+            # non-empty; and no await from here to task creation, so a
+            # barrier cannot close the window under this dispatch.
+            batch = self._pending[:max_batch]
+            del self._pending[:max_batch]
             registry = get_registry()
+            trigger = "full" if len(batch) == max_batch else "partial"
             registry.counter(f"serve.flush.{trigger}").add(1)
             registry.gauge("serve.queue_depth").set(len(self._pending))
-            await self._dispatch(batch)
+            self._dispatch(batch)
 
-    async def _dispatch(self, batch: list[_Request]) -> None:
-        """Launch one micro-batch into the pipeline.
-
-        Waits for an open dispatch window (a scrub barrier closes it)
-        and for a free slot (back-pressure past ``max_inflight``), then
-        spawns the batch as a task chained to its predecessor's fan-out
-        gate.  The ordinal is assigned here, on the event loop, so the
-        execution *schedule* (which batch is Nth) is deterministic even
-        though completion order is not.
-        """
+    async def _slot_free(self) -> None:
+        """Return once the dispatch window is open (a scrub barrier
+        closes it) and a pipeline slot is free (back-pressure past
+        ``max_inflight``)."""
         while True:
             await self._dispatch_open.wait()
             if len(self._inflight_tasks) < self._slots:
-                # No await between here and task creation, so a barrier
-                # cannot close the window under this dispatch.
-                break
-            # Back-pressure: the flusher stalls (queue keeps accepting
-            # up to max_queue) until the oldest in-flight batch answers —
-            # then re-checks the window, which may have closed meanwhile.
+                return
+            # Every slot is busy: arrivals keep queueing (up to
+            # max_queue) until the oldest in-flight batch answers — then
+            # re-check the window, which may have closed meanwhile.
             await asyncio.wait(
                 list(self._inflight_tasks), return_when=asyncio.FIRST_COMPLETED
             )
+
+    def _dispatch(self, batch: list[_Request]) -> None:
+        """Launch one micro-batch into a free pipeline slot, as a task
+        chained to its predecessor's fan-out gate.  The ordinal is
+        assigned here, on the event loop, so the execution *schedule*
+        (which batch is Nth) is deterministic even though completion
+        order is not.
+        """
         registry = get_registry()
         ordinal = self._batches_started
         self._batches_started += 1
@@ -703,7 +683,6 @@ class MicroBatchServer:
             "policy": {
                 "max_batch": self.policy.max_batch,
                 "deadline_ms": self.policy.deadline_ms,
-                "flush_margin_ms": self.policy.flush_margin_ms,
                 "max_queue": self.policy.max_queue,
                 "max_inflight": self.policy.max_inflight,
             },

@@ -133,7 +133,7 @@ class TestOpenLoop:
         bank = np.arange(12, dtype=np.int64).reshape(4, 3) % 4  # sample k -> level k%4
 
         async def scenario():
-            policy = ServePolicy(max_batch=4, deadline_ms=50.0, flush_margin_ms=0.0)
+            policy = ServePolicy(max_batch=4, deadline_ms=50.0)
             async with MicroBatchServer(_EchoRunner(), policy) as server:
                 arrivals = np.linspace(0.0, 0.05, 10)
                 return await run_open_loop(server, bank, arrivals)

@@ -1,4 +1,4 @@
-"""MicroBatchServer: coalescing, deadline flush, shedding, fan-out, drain, TCP.
+"""MicroBatchServer: coalescing, work-conserving flush, shedding, fan-out, drain, TCP.
 
 No pytest-asyncio in the toolchain, so every scenario is an ``async def``
 driven by ``asyncio.run`` inside a plain sync test.
@@ -7,6 +7,7 @@ driven by ``asyncio.run`` inside a plain sync test.
 import asyncio
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -85,22 +86,22 @@ class TestServePolicy:
             ServePolicy(max_batch=0)
         with pytest.raises(ValueError, match="deadline_ms"):
             ServePolicy(deadline_ms=0.0)
-        with pytest.raises(ValueError, match="flush_margin_ms"):
-            ServePolicy(flush_margin_ms=-1.0)
         with pytest.raises(ValueError, match="max_queue"):
             ServePolicy(max_queue=0)
+        with pytest.raises(ValueError, match="max_inflight"):
+            ServePolicy(max_inflight=0)
 
     def test_from_env_reads_all_knobs(self):
         policy = ServePolicy.from_env(
             {
                 "REPRO_SERVE_BATCH": "8",
                 "REPRO_SERVE_DEADLINE_MS": "20",
-                "REPRO_SERVE_MARGIN_MS": "2.5",
                 "REPRO_SERVE_QUEUE": "32",
+                "REPRO_SERVE_INFLIGHT": "3",
             }
         )
         assert policy == ServePolicy(
-            max_batch=8, deadline_ms=20.0, flush_margin_ms=2.5, max_queue=32
+            max_batch=8, deadline_ms=20.0, max_queue=32, max_inflight=3
         )
 
     def test_from_env_garbage_keeps_defaults(self):
@@ -108,13 +109,6 @@ class TestServePolicy:
             {"REPRO_SERVE_BATCH": "lots", "REPRO_SERVE_DEADLINE_MS": ""}
         )
         assert policy == ServePolicy()
-
-    def test_flush_after_reserves_execution_margin(self):
-        assert ServePolicy(deadline_ms=50.0, flush_margin_ms=5.0).flush_after_s == (
-            pytest.approx(0.045)
-        )
-        # margin larger than the budget clamps to "flush immediately"
-        assert ServePolicy(deadline_ms=5.0, flush_margin_ms=10.0).flush_after_s == 0.0
 
 
 class TestCoalescing:
@@ -124,7 +118,7 @@ class TestCoalescing:
         registry = MetricsRegistry()
 
         async def scenario():
-            policy = ServePolicy(max_batch=8, deadline_ms=500.0, flush_margin_ms=0.0)
+            policy = ServePolicy(max_batch=8, deadline_ms=500.0)
             with ResilientBatchRunner(engine, policy=FAST, workers=1) as runner:
                 async with MicroBatchServer(runner, policy) as server:
                     return await server.submit_many(samples)
@@ -142,12 +136,12 @@ class TestCoalescing:
         assert registry.counter("serve.rejected").value == 0
         assert registry.histogram("serve.latency").count == 16
 
-    def test_partial_batch_flushes_on_deadline(self, engine):
+    def test_partial_batch_flushes_while_a_slot_is_free(self, engine):
         samples = _samples(3, seed=2)
         registry = MetricsRegistry()
 
         async def scenario():
-            policy = ServePolicy(max_batch=64, deadline_ms=30.0, flush_margin_ms=5.0)
+            policy = ServePolicy(max_batch=64, deadline_ms=30.0)
             with ResilientBatchRunner(engine, policy=FAST, workers=1) as runner:
                 async with MicroBatchServer(runner, policy) as server:
                     return await server.submit_many(samples)
@@ -156,14 +150,32 @@ class TestCoalescing:
             responses = asyncio.run(scenario())
         assert all(r.ok for r in responses)
         assert responses[0].batch_size == 3
-        assert registry.counter("serve.flush.deadline").value == 1
+        assert registry.counter("serve.flush.partial").value == 1
         assert registry.counter("serve.flush.full").value == 0
+
+    def test_lone_request_is_not_held_for_the_deadline(self):
+        """A lone request leaves as soon as a slot is free: the flusher
+        never waits out ``deadline_ms`` for a batch that will not fill."""
+        registry = MetricsRegistry()
+
+        async def scenario():
+            policy = ServePolicy(deadline_ms=10_000.0)
+            async with MicroBatchServer(_ScriptedRunner(), policy) as server:
+                started = time.perf_counter()
+                response = await server.submit(np.zeros(SHAPE))
+                return response, time.perf_counter() - started
+
+        with using_registry(registry):
+            response, elapsed = asyncio.run(scenario())
+        assert response.ok and response.batch_size == 1
+        assert elapsed < 1.0
+        assert registry.counter("serve.flush.partial").value == 1
 
     def test_submit_shapes(self):
         runner = _ScriptedRunner()
 
         async def scenario():
-            policy = ServePolicy(max_batch=1, deadline_ms=50.0, flush_margin_ms=0.0)
+            policy = ServePolicy(max_batch=1, deadline_ms=50.0)
             async with MicroBatchServer(runner, policy) as server:
                 ok = await server.submit(np.zeros((1,) + SHAPE))  # squeezed
                 with pytest.raises(ValueError, match="one sample shaped"):
@@ -189,9 +201,7 @@ class TestAdmissionControl:
         registry = MetricsRegistry()
 
         async def scenario():
-            policy = ServePolicy(
-                max_batch=1, deadline_ms=5000.0, flush_margin_ms=0.0, max_queue=2
-            )
+            policy = ServePolicy(max_batch=1, deadline_ms=5000.0, max_queue=2)
             async with MicroBatchServer(runner, policy) as server:
                 first = asyncio.ensure_future(server.submit(np.zeros(SHAPE)))
                 # let the flusher take the first request into the (blocked)
@@ -243,7 +253,7 @@ class TestFanOut:
         registry = MetricsRegistry()
 
         async def scenario():
-            policy = ServePolicy(max_batch=4, deadline_ms=500.0, flush_margin_ms=0.0)
+            policy = ServePolicy(max_batch=4, deadline_ms=500.0)
             with ResilientBatchRunner(engine, policy=FAST, workers=1) as runner:
                 async with MicroBatchServer(runner, policy) as server:
                     return await server.submit_many(samples)
@@ -264,7 +274,7 @@ class TestFanOut:
         runner = _ScriptedRunner(behavior="partial")
 
         async def scenario():
-            policy = ServePolicy(max_batch=2, deadline_ms=500.0, flush_margin_ms=0.0)
+            policy = ServePolicy(max_batch=2, deadline_ms=500.0)
             async with MicroBatchServer(runner, policy) as server:
                 return await server.submit_many(np.zeros((2,) + SHAPE))
 
@@ -281,7 +291,7 @@ class TestFailurePaths:
         registry = MetricsRegistry()
 
         async def scenario():
-            policy = ServePolicy(max_batch=2, deadline_ms=100.0, flush_margin_ms=0.0)
+            policy = ServePolicy(max_batch=2, deadline_ms=100.0)
             async with MicroBatchServer(runner, policy) as server:
                 failed = await asyncio.gather(
                     server.submit(np.zeros(SHAPE)), server.submit(np.zeros(SHAPE))
@@ -303,7 +313,7 @@ class TestFailurePaths:
         runner = _ScriptedRunner(behavior="boom")
 
         async def scenario():
-            policy = ServePolicy(max_batch=1, deadline_ms=100.0, flush_margin_ms=0.0)
+            policy = ServePolicy(max_batch=1, deadline_ms=100.0)
             async with MicroBatchServer(runner, policy) as server:
                 failed = await server.submit(np.zeros(SHAPE))
                 runner.behavior = "ok"
@@ -321,7 +331,7 @@ class TestDrain:
         registry = MetricsRegistry()
 
         async def scenario():
-            policy = ServePolicy(max_batch=64, deadline_ms=10_000.0, flush_margin_ms=0.0)
+            policy = ServePolicy(max_batch=64, deadline_ms=10_000.0)
             server = await MicroBatchServer(runner, policy).start()
             pending = [
                 asyncio.ensure_future(server.submit(np.zeros(SHAPE)))
@@ -339,7 +349,7 @@ class TestDrain:
             answered = asyncio.run(scenario())
         assert [r.status for r in answered] == ["ok"] * 3
         assert answered[0].batch_size == 3
-        assert registry.counter("serve.flush.drain").value == 1
+        assert registry.counter("serve.flush.partial").value == 1
         assert registry.gauge("serve.queue_depth").value == 0.0
 
 
@@ -349,7 +359,7 @@ class TestServeTCP:
         expected = engine.predict(samples)
 
         async def scenario():
-            policy = ServePolicy(max_batch=4, deadline_ms=30.0, flush_margin_ms=0.0)
+            policy = ServePolicy(max_batch=4, deadline_ms=30.0)
             with ResilientBatchRunner(engine, policy=FAST, workers=1) as runner:
                 async with MicroBatchServer(runner, policy) as server:
                     tcp = await serve_tcp(server, host="127.0.0.1", port=0)
@@ -386,7 +396,7 @@ class TestSLOAccounting:
         registry = MetricsRegistry()
 
         async def scenario():
-            policy = ServePolicy(max_batch=4, deadline_ms=200.0, flush_margin_ms=0.0)
+            policy = ServePolicy(max_batch=4, deadline_ms=200.0)
             async with MicroBatchServer(runner, policy) as server:
                 responses = await server.submit_many(np.zeros((3,) + SHAPE))
                 return responses, server.slo.state()
@@ -404,7 +414,7 @@ class TestSLOAccounting:
         registry = MetricsRegistry()
 
         async def scenario():
-            policy = ServePolicy(max_batch=4, deadline_ms=200.0, flush_margin_ms=0.0)
+            policy = ServePolicy(max_batch=4, deadline_ms=200.0)
             async with MicroBatchServer(runner, policy) as server:
                 await server.submit(np.zeros(SHAPE))
                 server._closing = True  # draining: next arrival is shed
@@ -438,7 +448,7 @@ class TestAdminPlane:
         registry = MetricsRegistry()
 
         async def scenario():
-            policy = ServePolicy(max_batch=2, deadline_ms=100.0, flush_margin_ms=0.0)
+            policy = ServePolicy(max_batch=2, deadline_ms=100.0)
             async with MicroBatchServer(runner, policy) as server:
                 await server.submit_many(np.zeros((2,) + SHAPE))
                 return server.admin_snapshot()
@@ -464,7 +474,7 @@ class TestAdminPlane:
         slo = SLO(p99_ms=60_000.0, availability=0.5)
 
         async def scenario():
-            policy = ServePolicy(max_batch=4, deadline_ms=30.0, flush_margin_ms=0.0)
+            policy = ServePolicy(max_batch=4, deadline_ms=30.0)
             with ResilientBatchRunner(engine, policy=FAST, workers=1) as runner:
                 async with MicroBatchServer(runner, policy, slo=slo) as server:
                     tcp = await serve_tcp(server, host="127.0.0.1", port=0)
@@ -551,7 +561,7 @@ class TestHardenedFrontEnd:
         registry = MetricsRegistry()
 
         async def run():
-            policy = ServePolicy(max_batch=4, deadline_ms=30.0, flush_margin_ms=0.0)
+            policy = ServePolicy(max_batch=4, deadline_ms=30.0)
             with ResilientBatchRunner(engine, policy=FAST, workers=1) as runner:
                 async with MicroBatchServer(runner, policy) as server:
                     tcp = await serve_tcp(server, host="127.0.0.1", port=0, net=net)
@@ -747,7 +757,7 @@ class TestSelfHealingServing:
         registry = MetricsRegistry()
 
         async def scenario():
-            policy = ServePolicy(max_batch=8, deadline_ms=30.0, flush_margin_ms=0.0)
+            policy = ServePolicy(max_batch=8, deadline_ms=30.0)
             with ResilientBatchRunner(
                 engine, policy=FAST, workers=1,
                 chaos=ChaosSpec(corrupt_rate=1.0, seed=5),
@@ -778,7 +788,7 @@ class TestSelfHealingServing:
 
     def test_scrub_op_and_health_scrub_clean_over_tcp(self, engine):
         async def scenario():
-            policy = ServePolicy(max_batch=4, deadline_ms=30.0, flush_margin_ms=0.0)
+            policy = ServePolicy(max_batch=4, deadline_ms=30.0)
             with ResilientBatchRunner(engine, policy=FAST, workers=1) as runner:
                 scrubber = IntegrityScrubber(runner)
                 async with MicroBatchServer(
@@ -838,7 +848,7 @@ class TestChaosServing:
         registry = MetricsRegistry()
 
         async def scenario():
-            policy = ServePolicy(max_batch=4, deadline_ms=500.0, flush_margin_ms=0.0)
+            policy = ServePolicy(max_batch=4, deadline_ms=500.0)
             with ResilientBatchRunner(
                 engine,
                 shard_size=2,
@@ -897,7 +907,6 @@ class TestPipelinedServing:
     def _policy(self, **kw):
         kw.setdefault("max_batch", 1)
         kw.setdefault("deadline_ms", 5000.0)
-        kw.setdefault("flush_margin_ms", 0.0)
         return ServePolicy(**kw)
 
     def test_batches_overlap_and_fan_out_fifo(self):
@@ -979,6 +988,55 @@ class TestPipelinedServing:
         with using_registry(MetricsRegistry()):
             responses = asyncio.run(scenario())
         assert [r.label for r in responses] == [0, 1, 2]
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_arrivals_behind_busy_slots_ride_one_batch_fifo(self, k):
+        """Batches grow only while every slot is busy: k arrivals queued
+        behind two held slots leave as one batch of min(k, max_batch)
+        once a slot frees, and every answer still fans out FIFO."""
+        block = threading.Event()
+        runner = _ScriptedRunner(block=block)
+        registry = MetricsRegistry()
+        order = []
+
+        async def until(predicate):
+            for _ in range(200):
+                if predicate():
+                    return
+                await asyncio.sleep(0.01)
+            raise AssertionError("condition never held")
+
+        async def scenario():
+            policy = self._policy(max_batch=4, max_inflight=2)
+            async with MicroBatchServer(runner, policy) as server:
+
+                def submit(i):
+                    task = asyncio.ensure_future(server.submit(_samples(1, seed=i)[0]))
+                    task.add_done_callback(lambda _t: order.append(i))
+                    return task
+
+                # one lone request per slot, each dispatched on arrival
+                held = [submit(0)]
+                await until(lambda: len(runner.batch_sizes) == 1)
+                held.append(submit(1))
+                await until(lambda: len(runner.batch_sizes) == 2)
+                queued = [submit(2 + i) for i in range(k)]
+                await until(lambda: server.queue_depth == k)
+                await asyncio.sleep(0.05)
+                assert len(runner.batch_sizes) == 2, "dispatched past the cap"
+                block.set()
+                return await asyncio.gather(*held, *queued)
+
+        with using_registry(registry):
+            responses = asyncio.run(scenario())
+        first = min(k, 4)
+        assert [r.batch_size for r in responses] == (
+            [1, 1] + [first] * first + [k - first] * (k - first)
+        )
+        assert all(r.ok for r in responses)
+        assert order == list(range(2 + k))
+        assert registry.counter("serve.flush.full").value == (1 if k >= 4 else 0)
+        assert registry.counter("serve.flush.partial").value == 3
 
     def test_scrub_waits_for_pipeline_barrier(self):
         runner = _GatedRunner()
