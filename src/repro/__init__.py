@@ -12,27 +12,23 @@ Top-level convenience re-exports; see the subpackages for the full API:
   :mod:`repro.vsa` — baselines and the classic VSA substrate
 * :mod:`repro.search` — evolutionary co-design search
 * :mod:`repro.nn` — the numpy autograd training substrate
+
+Every re-export loads its submodule on first use (:mod:`repro._lazy`).
 """
 
-from .core import (
-    BitPackedUniVSA,
-    UniVSAArtifacts,
-    UniVSAConfig,
-    UniVSAModel,
-    train_univsa,
-)
-from .core.pipeline import BenchmarkRun, evaluate_artifacts, run_benchmark
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "UniVSAConfig",
-    "UniVSAModel",
-    "UniVSAArtifacts",
-    "BitPackedUniVSA",
-    "train_univsa",
-    "BenchmarkRun",
-    "run_benchmark",
-    "evaluate_artifacts",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".core.config": ("UniVSAConfig",),
+        ".core.model": ("UniVSAModel",),
+        ".core.export": ("UniVSAArtifacts",),
+        ".core.inference": ("BitPackedUniVSA",),
+        ".core.train": ("train_univsa",),
+        ".core.pipeline": ("BenchmarkRun", "run_benchmark", "evaluate_artifacts"),
+    },
+)
+__all__ += ["__version__"]

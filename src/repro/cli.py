@@ -34,11 +34,6 @@ import sys
 import numpy as np
 
 from repro.core import UniVSAArtifacts, UniVSAConfig
-from repro.core.pipeline import run_benchmark
-from repro.data import benchmark_names, get_benchmark, load
-from repro.hw import hardware_report
-from repro.utils.tables import render_kv, render_table
-from repro.utils.trainloop import TrainConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -81,6 +76,9 @@ def _parse_config(text: str | None, benchmark) -> UniVSAConfig | None:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
+    from repro.data import benchmark_names, get_benchmark
+    from repro.utils.tables import render_table
+
     rows = []
     for name in benchmark_names():
         benchmark = get_benchmark(name)
@@ -102,7 +100,11 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    from repro.core.pipeline import run_benchmark
+    from repro.data import get_benchmark
     from repro.obs import MetricsRegistry, using_registry
+    from repro.utils.tables import render_kv
+    from repro.utils.trainloop import TrainConfig
 
     benchmark = get_benchmark(args.benchmark)
     config = _parse_config(args.config, benchmark)
@@ -142,6 +144,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from repro.data import load
+    from repro.utils.tables import render_kv
+
     artifacts = UniVSAArtifacts.load(args.model)
     data = load(args.benchmark, seed=args.seed)
     predictions = artifacts.predict(data.x_test)
@@ -160,6 +165,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_hw(args: argparse.Namespace) -> int:
+    from repro.data import get_benchmark
+    from repro.hw import hardware_report
+    from repro.utils.tables import render_kv
+
     benchmark = get_benchmark(args.benchmark)
     config = _parse_config(args.config, benchmark) or UniVSAConfig.from_paper_tuple(
         benchmark.paper_config, levels=benchmark.levels
@@ -187,6 +196,7 @@ def _cmd_hw(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     from time import perf_counter
 
+    from repro.data import get_benchmark, load
     from repro.obs import MetricsRegistry, using_registry
     from repro.search import (
         AccuracyProxy,
@@ -197,6 +207,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         evolutionary_search,
     )
     from repro.search.engine import DEFAULT_CACHE_PATH
+    from repro.utils.tables import render_kv
 
     benchmark = get_benchmark(args.benchmark)
     data = load(args.benchmark, seed=args.seed)
@@ -356,6 +367,7 @@ def _cmd_verify_artifacts(args: argparse.Namespace) -> int:
     import json
 
     from repro.runtime.integrity import ArtifactCorruptionError, verify_archive
+    from repro.utils.tables import render_kv, render_table
 
     try:
         report = verify_archive(args.model)
@@ -407,6 +419,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         artifacts = UniVSAArtifacts.load(args.model)
         name = args.model
     else:
+        from repro.core.pipeline import run_benchmark
+        from repro.data import get_benchmark
+        from repro.utils.trainloop import TrainConfig
+
         benchmark = get_benchmark(args.benchmark)
         run = run_benchmark(
             args.benchmark,
@@ -520,6 +536,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
+    from repro.data import get_benchmark
     from repro.obs import DEFAULT_LEDGER_PATH, Ledger, write_trajectories
     from repro.runtime import ServePolicy, bench_serve
 
@@ -603,6 +620,7 @@ def _admin_request(host: str, port: int, payload: dict, timeout: float = 5.0) ->
 def _render_top(state: dict) -> str:
     """One `repro top` frame from an admin ``metrics`` snapshot."""
     from repro.obs.export import render_stage_table
+    from repro.utils.tables import render_kv
 
     counters = state.get("counters", {})
     slo = state.get("slo", {})
@@ -682,6 +700,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """Run one resilient batch under an injected-fault spec and report."""
+    from repro.core.pipeline import run_benchmark
+    from repro.data import get_benchmark
     from repro.obs import MetricsRegistry, using_registry
     from repro.runtime import (
         ChaosSpec,
@@ -690,6 +710,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         RetryPolicy,
     )
     from repro.core.inference import BitPackedUniVSA
+    from repro.utils.trainloop import TrainConfig
 
     chaos = (
         ChaosSpec.parse(args.spec, seed=args.chaos_seed)
@@ -788,9 +809,13 @@ def _cmd_fault_sweep(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
+    from repro.core.pipeline import run_benchmark
+    from repro.data import get_benchmark
     from repro.hw.faults import fault_sweep
     from repro.obs import MetricsRegistry, using_registry
     from repro.runtime import serving_predict_fn
+    from repro.utils.tables import render_kv, render_table
+    from repro.utils.trainloop import TrainConfig
 
     benchmark = get_benchmark(args.benchmark)
     run = run_benchmark(
@@ -902,6 +927,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.core.inference import BitPackedUniVSA
+    from repro.core.pipeline import run_benchmark
+    from repro.data import get_benchmark
     from repro.hw.arch import HardwareSpec
     from repro.hw.simulator import HardwareSimulator
     from repro.obs import (
@@ -913,6 +940,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_traces_jsonl,
     )
     from repro.runtime.stream import StreamingClassifier
+    from repro.utils.trainloop import TrainConfig
 
     benchmark = get_benchmark(args.benchmark)
     train_config = TrainConfig(
@@ -1106,7 +1134,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
     # plan run: train a small model, sweep the knobs, persist the winner.
     from repro.core.inference import BitPackedUniVSA
+    from repro.core.pipeline import run_benchmark
+    from repro.data import get_benchmark
     from repro.obs import MetricsRegistry, using_registry
+    from repro.utils.trainloop import TrainConfig
 
     benchmark = get_benchmark(args.benchmark)
     run = run_benchmark(

@@ -6,26 +6,21 @@ Public API:
 * :func:`train_univsa` — LDC-style training of the full pipeline;
 * :class:`UniVSAArtifacts` — the deployed pure-binary model;
 * :class:`BitPackedUniVSA` — XNOR/popcount inference (hardware twin).
+
+Each name loads its submodule on first use, so a caller that only runs a
+deployed model never imports the trainer.
 """
 
-from .adapt import AdaptationReport, adapt_class_vectors
-from .config import UniVSAConfig
-from .export import UniVSAArtifacts, extract_artifacts
-from .inference import BitPackedUniVSA
-from .model import ChannelEncodingLayer, SoftVotingHead, UniVSAModel
-from .train import UniVSAResult, build_mask, train_univsa
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdaptationReport",
-    "adapt_class_vectors",
-    "UniVSAConfig",
-    "UniVSAModel",
-    "ChannelEncodingLayer",
-    "SoftVotingHead",
-    "UniVSAArtifacts",
-    "extract_artifacts",
-    "BitPackedUniVSA",
-    "UniVSAResult",
-    "build_mask",
-    "train_univsa",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".adapt": ("AdaptationReport", "adapt_class_vectors"),
+        ".config": ("UniVSAConfig",),
+        ".model": ("UniVSAModel", "ChannelEncodingLayer", "SoftVotingHead"),
+        ".export": ("UniVSAArtifacts", "extract_artifacts"),
+        ".inference": ("BitPackedUniVSA",),
+        ".train": ("UniVSAResult", "build_mask", "train_univsa"),
+    },
+)

@@ -11,6 +11,7 @@ bit-exactness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,7 +19,9 @@ from repro.obs import MARGIN_HISTOGRAM, annotate_span, get_registry, stage_timer
 from repro.vsa.hypervector import sign_bipolar
 
 from .config import UniVSAConfig
-from .model import UniVSAModel
+
+if TYPE_CHECKING:  # the trainer; a deployed model never loads it
+    from .model import UniVSAModel
 
 __all__ = ["UniVSAArtifacts", "extract_artifacts", "record_soft_vote_margins"]
 

@@ -25,11 +25,11 @@ The engine has three modes:
   match, encode, similarity — one batch tile at a time, so every
   intermediate of a tile is still cache-resident when the next stage
   consumes it (`conv_tile_mb` defaults down to a cache-sized budget).
-  The conv match itself goes through the active kernel set's
-  ``match_builder`` — per-tap 256-entry XOR-popcount byte LUTs on the
-  fast set — and the threshold compare collapses to a single integer
-  comparison in XOR-count space (see ``_init_fused``).  Bit-exact with
-  the other modes by construction and by the property suite.
+  The conv match gathers from per-tap 256-entry XOR-popcount byte
+  tables the engine keeps resident (the legacy kernel set keeps its
+  word-level matcher), and the threshold compare collapses to an
+  integer window in XOR-count space (see ``_init_fused``).  Bit-exact
+  with the other modes by construction and by the property suite.
 * ``mode="legacy"`` preserves the seed engine's per-call block packing;
   it exists as the baseline for ``python -m repro bench-throughput`` and
   as a second implementation the property tests cross-check.
@@ -56,6 +56,7 @@ domain scan would otherwise dominate small-batch latency.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 
@@ -64,7 +65,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.obs import annotate_span, get_registry, stage_timer, trace_span
 from repro.vsa.bitops import pack_bipolar, xnor_popcount
-from repro.vsa.kernels import WORD_BITS, get_kernels
+from repro.vsa.kernels import FAST_KERNELS, WORD_BITS, conv_tables, get_kernels, lut8_counts
 
 from .export import UniVSAArtifacts, record_soft_vote_margins
 
@@ -241,18 +242,24 @@ class BitPackedUniVSA:
     # fused-mode precomputation: byte-level kernel taps + XOR-space bounds
     # ------------------------------------------------------------------
     def _init_fused(self) -> None:
-        """Build the fused conv matcher on top of the fast-mode state.
+        """Build the fused conv operands on top of the fast-mode state.
 
-        The matcher comes from the active kernel set's ``match_builder``
-        over the kernel tap bytes in operand order, returning XOR bit
-        counts ``x`` instead of raw matches.  With ``n`` true bits the
-        accumulation is ``n - 2x``, so the threshold compare becomes a
-        *single* integer comparison: ``acc >= t  <=>  x <= floor((n-t)/2)``
-        and (flipped channels) ``acc <= t  <=>  x >= ceil((n-t)/2)``.
-        Folding the flip into ``bound = xor_lo - 1`` and XOR-ing the
-        comparison result with the flip mask avoids materializing two
-        boolean planes per tile.  Byte padding bits are zero on both the
-        operand and the tap side, so they add no XOR counts.
+        The conv match counts XOR bits ``x`` between the kernel tap bytes
+        (operand order) and each operand instead of raw matches.  With
+        ``n`` true bits the accumulation is ``n - 2x``, so the threshold
+        compare becomes an integer window on ``x``: ``acc >= t  <=>  x <=
+        floor((n-t)/2)`` and (flipped channels) ``acc <= t  <=>  x >=
+        ceil((n-t)/2)``.  Each channel gets an inclusive uint16 window
+        ``conv_lo <= x <= conv_hi``: ``[0, floor]`` for plain channels
+        (``[1, 0]``, never, when the bound is negative) and ``[ceil,
+        0xFFFF]`` for flipped ones; uint16 keeps tap counts up to 8k bits
+        exact.  Byte padding bits are zero on both the operand and the
+        tap side, so they add no XOR counts.
+
+        Under a byte-LUT kernel set the per-tap tables
+        (:func:`repro.vsa.kernels.conv_tables`) are built here once, as a
+        resident operand that both conv backends read, so the integrity
+        scrubber's digests cover every byte the conv stage reads.
         """
         artifacts = self.artifacts
         if artifacts.kernel is None:
@@ -267,34 +274,38 @@ class BitPackedUniVSA:
         xor_hi = np.floor(half).astype(np.int64)
         xor_lo = np.ceil(half).astype(np.int64)
         flips = np.asarray(self._flips).astype(bool)
-        self._fused_bound = np.where(flips, xor_lo - 1, xor_hi)
-        self._fused_flip = flips
-        self._fused_matcher = get_kernels().match_builder(self._kernel_tap_bytes)
-        self._init_cc_conv()
+        lo = np.where(flips, np.clip(xor_lo, 0, 0xFFFF), np.where(xor_hi < 0, 1, 0))
+        hi = np.where(flips, 0xFFFF, np.clip(xor_hi, 0, 0xFFFF))
+        self._conv_lo = lo.astype(np.uint16)
+        self._conv_hi = hi.astype(np.uint16)
+        if get_kernels().match_impl == FAST_KERNELS.match_impl:
+            self._conv_tables = conv_tables(self._kernel_tap_bytes)
+        self._bind_conv()
 
-    def _init_cc_conv(self) -> None:
-        """Attach the compiled conv backend when available.
+    def _bind_conv(self) -> None:
+        """Point the fused conv backends at the resident operands.
 
-        The compiled kernel computes the *fires* plane directly from the
-        padded DVP byte volume — same tap tables, same XOR-space bounds,
-        bit-exact with the NumPy matcher path (re-encoded as an unsigned
-        inclusive window; see :mod:`repro.vsa.kernels_cc`).  The legacy
-        kernel set is the reference configuration, so it keeps the pure
-        NumPy path; anything else opts in unless ``REPRO_CC`` disables
-        the backend or the build fails, in which case the engine silently
-        keeps the matcher and ``kernel_info()`` records the reason.
+        With resident tables, the NumPy matcher gathers from them and the
+        compiled kernel (:mod:`repro.vsa.kernels_cc`) computes the fires
+        plane straight from the padded DVP byte volume over the same
+        tables and window — bit-exact with each other.  The compiled
+        kernel is used unless ``REPRO_CC`` disables it or the build fails,
+        in which case the engine keeps the matcher and ``kernel_info()``
+        records the reason.  Without tables (the legacy kernel set, the
+        reference configuration) the set's own word-level matcher runs,
+        and nothing is compiled.
         """
-        self._cc_conv = None
-        if self.artifacts.kernel is None or get_kernels().name == "legacy":
+        tables = getattr(self, "_conv_tables", None)
+        if tables is None:
+            self._fused_matcher = get_kernels().match_builder(self._kernel_tap_bytes)
+            self._cc_conv = None
             return
         from repro.vsa.kernels_cc import build_conv_fires
 
-        kernel = self.artifacts.kernel
-        k = kernel.shape[2]
+        self._fused_matcher = functools.partial(lut8_counts, tables)
+        k = self.artifacts.kernel.shape[2]
         nb = self._kernel_tap_bytes.shape[-1] // (k * k)
-        self._cc_conv = build_conv_fires(
-            self._kernel_tap_bytes, self._fused_bound, self._fused_flip, k, nb
-        )
+        self._cc_conv = build_conv_fires(tables, self._conv_lo, self._conv_hi, k, nb)
 
     @property
     def conv_backend(self) -> str:
@@ -351,7 +362,7 @@ class BitPackedUniVSA:
                             stop - start, h * w, -1
                         )
                         counts = self._fused_matcher(operand)  # (T, P, O) XOR bits
-                        fires = (counts <= self._fused_bound) ^ self._fused_flip
+                        fires = (self._conv_lo <= counts) & (counts <= self._conv_hi)
                 feature_words = _bytes_to_words(_pack_bytes(fires))
             else:
                 feature_words = _bytes_to_words(
@@ -528,7 +539,8 @@ class BitPackedUniVSA:
 
         Covers both the source artifact arrays and the mode's derived
         packed operands (value-volume bytes, conv operand words, packed
-        feature/class vectors, thresholds, fused taps/bounds).  This is
+        feature/class vectors, thresholds, fused taps, tables and count
+        windows).  This is
         the scrub surface of :class:`repro.runtime.integrity
         .IntegrityScrubber`: golden digests are taken over exactly this
         dict at build time and re-checked on every scrub pass, so a bit
@@ -565,8 +577,9 @@ class BitPackedUniVSA:
             "_conv_match_hi",
             "_conv_match_lo",
             "_kernel_tap_bytes",
-            "_fused_bound",
-            "_fused_flip",
+            "_conv_tables",
+            "_conv_lo",
+            "_conv_hi",
         ):
             array = getattr(self, attr, None)
             if isinstance(array, np.ndarray):
@@ -618,10 +631,10 @@ class BitPackedUniVSA:
         The inverse of :meth:`operand_state`: artifact arrays and derived
         packed operands are adopted as-is (typically read-only zero-copy
         views of a shared-memory plane), so construction does no packing,
-        inverting, or threshold folding.  Only the fused matcher closure
-        and the optional compiled conv backend are (re)built — both are
-        pure functions of the adopted tap bytes and bounds.  Bit-exact
-        with a from-artifacts construction by the property suite.
+        inverting, threshold folding or table building.  Only the fused
+        conv backends are rebound, over the adopted tables and windows.
+        Bit-exact with a from-artifacts construction by the property
+        suite.
         """
         def _artifact(name: str):
             return arrays.get(f"artifacts.{name}")
@@ -654,10 +667,7 @@ class BitPackedUniVSA:
                 setattr(self, "_" + key[len("engine.") :], array)
         if self.mode == "fused":
             if artifacts.kernel is not None:
-                self._fused_matcher = get_kernels().match_builder(
-                    self._kernel_tap_bytes
-                )
-                self._init_cc_conv()
+                self._bind_conv()
             else:
                 self._fused_matcher = None
                 self._cc_conv = None

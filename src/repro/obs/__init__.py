@@ -38,140 +38,88 @@ The active registry and tracer default to :data:`NULL_REGISTRY` /
 hot paths take no clock readings and make no allocations until
 :func:`enable` / :func:`enable_tracing` (or the ``using_*`` context
 managers) install real collectors.
+
+Each name loads its submodule on first use: a serving process never
+imports :mod:`.profile`, which drives the trainer and the hardware
+simulator.
 """
 
-from .export import (
-    record_to_prometheus,
-    render_stage_table,
-    snapshot,
-    stage_breakdown,
-    to_json,
-    to_prometheus,
-    write_json,
-)
-from .ledger import (
-    DEFAULT_LEDGER_PATH,
-    INTEGRITY_NAMESPACE,
-    MARGIN_HISTOGRAM,
-    SLO_NAMESPACE,
-    ComparisonReport,
-    Ledger,
-    MetricCheck,
-    RunRecord,
-    budget_env,
-    compare_records,
-    config_hash,
-    git_rev,
-    record_run,
-    write_trajectories,
-)
-from .slo import SLO, SLOTracker
-from .telemetry import (
-    WORKER_GAUGE_SEP,
-    drain_pool,
-    drain_worker_delta,
-    install_worker_telemetry,
-    merge_delta,
-    recent_worker_traces,
-    registry_delta,
-)
-from .profile import ProfileReport, profile_benchmark
-from .registry import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    LatencyHistogram,
-    MetricsRegistry,
-    NullRegistry,
-    disable,
-    enable,
-    get_registry,
-    set_registry,
-    using_registry,
-)
-from .timers import stage_timer
-from .trace import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    annotate_span,
-    disable_tracing,
-    enable_tracing,
-    get_tracer,
-    read_traces_jsonl,
-    render_trace_tree,
-    set_tracer,
-    slowest_path,
-    trace_span,
-    trace_to_dict,
-    using_tracer,
-    write_traces_jsonl,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "LatencyHistogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
-    "get_registry",
-    "set_registry",
-    "enable",
-    "disable",
-    "using_registry",
-    "stage_timer",
-    "snapshot",
-    "stage_breakdown",
-    "to_json",
-    "to_prometheus",
-    "record_to_prometheus",
-    "write_json",
-    "render_stage_table",
-    "ProfileReport",
-    "profile_benchmark",
-    # cross-process telemetry
-    "WORKER_GAUGE_SEP",
-    "install_worker_telemetry",
-    "registry_delta",
-    "drain_worker_delta",
-    "merge_delta",
-    "drain_pool",
-    "recent_worker_traces",
-    # SLO / error budgets
-    "SLO",
-    "SLOTracker",
-    "INTEGRITY_NAMESPACE",
-    "SLO_NAMESPACE",
-    # tracing
-    "Span",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "get_tracer",
-    "set_tracer",
-    "enable_tracing",
-    "disable_tracing",
-    "using_tracer",
-    "trace_span",
-    "annotate_span",
-    "trace_to_dict",
-    "write_traces_jsonl",
-    "read_traces_jsonl",
-    "render_trace_tree",
-    "slowest_path",
-    # ledger
-    "DEFAULT_LEDGER_PATH",
-    "MARGIN_HISTOGRAM",
-    "RunRecord",
-    "Ledger",
-    "config_hash",
-    "git_rev",
-    "budget_env",
-    "record_run",
-    "MetricCheck",
-    "ComparisonReport",
-    "compare_records",
-    "write_trajectories",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".registry": (
+            "Counter",
+            "Gauge",
+            "LatencyHistogram",
+            "MetricsRegistry",
+            "NullRegistry",
+            "NULL_REGISTRY",
+            "get_registry",
+            "set_registry",
+            "enable",
+            "disable",
+            "using_registry",
+        ),
+        ".timers": ("stage_timer",),
+        ".export": (
+            "snapshot",
+            "stage_breakdown",
+            "to_json",
+            "to_prometheus",
+            "record_to_prometheus",
+            "write_json",
+            "render_stage_table",
+        ),
+        ".profile": ("ProfileReport", "profile_benchmark"),
+        # cross-process telemetry
+        ".telemetry": (
+            "WORKER_GAUGE_SEP",
+            "install_worker_telemetry",
+            "registry_delta",
+            "drain_worker_delta",
+            "merge_delta",
+            "drain_pool",
+            "recent_worker_traces",
+        ),
+        # SLO / error budgets
+        ".slo": ("SLO", "SLOTracker"),
+        # tracing
+        ".trace": (
+            "Span",
+            "Tracer",
+            "NullTracer",
+            "NULL_TRACER",
+            "get_tracer",
+            "set_tracer",
+            "enable_tracing",
+            "disable_tracing",
+            "using_tracer",
+            "trace_span",
+            "annotate_span",
+            "trace_to_dict",
+            "write_traces_jsonl",
+            "read_traces_jsonl",
+            "render_trace_tree",
+            "slowest_path",
+        ),
+        # ledger
+        ".ledger": (
+            "INTEGRITY_NAMESPACE",
+            "SLO_NAMESPACE",
+            "DEFAULT_LEDGER_PATH",
+            "MARGIN_HISTOGRAM",
+            "RunRecord",
+            "Ledger",
+            "config_hash",
+            "git_rev",
+            "budget_env",
+            "record_run",
+            "MetricCheck",
+            "ComparisonReport",
+            "compare_records",
+            "write_trajectories",
+        ),
+    },
+)

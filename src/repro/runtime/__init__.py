@@ -1,106 +1,61 @@
 """Deployment runtimes for deployed UniVSA models: streaming + batch +
 fault-tolerant serving (retry/fallback/quarantine/breaker + chaos) + the
-micro-batching online front end and its open-loop load harness."""
+micro-batching online front end and its open-loop load harness.
 
-from .batch import BatchRunner, WorkerPool, resolve_workers
-from .chaos import ChaosError, ChaosSpec, chaos_context, chaos_kernels, parse_chaos
-from .integrity import (
-    ArtifactCorruptionError,
-    IntegrityScrubber,
-    ScrubReport,
-    damage_archive,
-    flip_resident_bits,
-    verify_archive,
-)
-from .loadgen import (
-    LoadPoint,
-    ServeBenchReport,
-    bench_serve,
-    bursty_arrivals,
-    client_arrivals,
-    poisson_arrivals,
-    run_open_loop,
-)
-from .plan import (
-    ExecutionPlan,
-    calibrate,
-    clear_plan_cache,
-    load_plan_cache,
-    plan_key,
-    resolve_plan,
-    store_plan,
-)
-from .resilience import (
-    BatchReport,
-    BatchResult,
-    CircuitOpenError,
-    ResilientBatchRunner,
-    RetryPolicy,
-    ShardStatus,
-    serving_predict_fn,
-    validate_levels,
-)
-from .serve import MicroBatchServer, NetPolicy, ServePolicy, ServeResponse, serve_tcp
-from .shm import SharedArray, attach_view, leaked_segments, resolve_shm
-from .stream import StreamingClassifier, StreamingDecision
-from .throughput import EngineSample, ThroughputReport, bench_throughput
+Each name loads its submodule on first use: a daemon imports the runner
+and the front end, not the load harness or the throughput bench."""
 
-__all__ = [
-    "StreamingClassifier",
-    "StreamingDecision",
-    "BatchRunner",
-    "WorkerPool",
-    "resolve_workers",
-    "EngineSample",
-    "ThroughputReport",
-    "bench_throughput",
-    # resilience
-    "RetryPolicy",
-    "ShardStatus",
-    "BatchReport",
-    "BatchResult",
-    "CircuitOpenError",
-    "ResilientBatchRunner",
-    "validate_levels",
-    "serving_predict_fn",
-    # chaos
-    "ChaosSpec",
-    "ChaosError",
-    "chaos_context",
-    "chaos_kernels",
-    "parse_chaos",
-    # execution planner
-    "ExecutionPlan",
-    "calibrate",
-    "clear_plan_cache",
-    "load_plan_cache",
-    "plan_key",
-    "resolve_plan",
-    "store_plan",
-    # shared-memory handoff
-    "SharedArray",
-    "attach_view",
-    "leaked_segments",
-    "resolve_shm",
-    # artifact integrity / self-healing
-    "ArtifactCorruptionError",
-    "IntegrityScrubber",
-    "ScrubReport",
-    "damage_archive",
-    "flip_resident_bits",
-    "verify_archive",
-    # serving front end
-    "NetPolicy",
-    "ServePolicy",
-    "ServeResponse",
-    "MicroBatchServer",
-    "serve_tcp",
-    # load generation
-    "LoadPoint",
-    "ServeBenchReport",
-    "bench_serve",
-    "poisson_arrivals",
-    "bursty_arrivals",
-    "client_arrivals",
-    "run_open_loop",
-]
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".stream": ("StreamingClassifier", "StreamingDecision"),
+        ".batch": ("BatchRunner", "WorkerPool", "resolve_workers"),
+        ".throughput": ("EngineSample", "ThroughputReport", "bench_throughput"),
+        ".resilience": (
+            "RetryPolicy",
+            "ShardStatus",
+            "BatchReport",
+            "BatchResult",
+            "CircuitOpenError",
+            "ResilientBatchRunner",
+            "validate_levels",
+            "serving_predict_fn",
+        ),
+        ".chaos": ("ChaosSpec", "ChaosError", "chaos_context", "chaos_kernels", "parse_chaos"),
+        # execution planner
+        ".plan": (
+            "ExecutionPlan",
+            "calibrate",
+            "clear_plan_cache",
+            "load_plan_cache",
+            "plan_key",
+            "resolve_plan",
+            "store_plan",
+        ),
+        # shared-memory handoff
+        ".shm": ("SharedArray", "attach_view", "leaked_segments", "resolve_shm"),
+        # artifact integrity / self-healing
+        ".integrity": (
+            "ArtifactCorruptionError",
+            "IntegrityScrubber",
+            "ScrubReport",
+            "damage_archive",
+            "flip_resident_bits",
+            "verify_archive",
+        ),
+        # serving front end
+        ".serve": ("NetPolicy", "ServePolicy", "ServeResponse", "MicroBatchServer", "serve_tcp"),
+        # load generation
+        ".loadgen": (
+            "LoadPoint",
+            "ServeBenchReport",
+            "bench_serve",
+            "poisson_arrivals",
+            "bursty_arrivals",
+            "client_arrivals",
+            "run_open_loop",
+        ),
+    },
+)

@@ -170,7 +170,9 @@ class ShardStatus:
     status: str = "pending"  # ok | fallback | failed | skipped
     attempts: int = 0
     retries: int = 0
-    engine: str = "fast"  # engine that produced the accepted result
+    #: Engine that produced the accepted result: the runner's engine mode
+    #: (``fast``, ``fused`` or ``legacy``), or ``seed`` after a fallback.
+    engine: str = ""
     errors: list[str] = field(default_factory=list)
     wall_s: float = 0.0
 
@@ -673,7 +675,10 @@ class ResilientBatchRunner(BatchRunner):
         registry = get_registry()
         spans = self._shards(clean.shape[0])
         registry.counter("batch.shards").add(len(spans))
-        statuses = [ShardStatus(i, a, b) for i, (a, b) in enumerate(spans)]
+        statuses = [
+            ShardStatus(i, a, b, engine=self.engine.mode)
+            for i, (a, b) in enumerate(spans)
+        ]
         report.shards = statuses
         report.shard_size = self.effective_shard_size(clean.shape[0]) or None
         parts: list[np.ndarray | None] = [None] * len(spans)
@@ -869,7 +874,7 @@ class ResilientBatchRunner(BatchRunner):
                                 # backoff is collected as-is instead).
                                 futures[i] = None
                         continue
-                    if self.policy.fallback and status.engine == "fast":
+                    if self.policy.fallback:
                         status.engine = "seed"
                         registry.counter("resilience.fallbacks").add(1)
                         try:

@@ -1,58 +1,34 @@
-"""Classic binary VSA substrate: bit ops, hypervectors, item memories."""
+"""Classic binary VSA substrate: bit ops, hypervectors, item memories.
 
-from .bitops import (
-    dot_from_matches,
-    hamming_distance_packed,
-    pack_bipolar,
-    popcount,
-    unpack_bipolar,
-    xnor_popcount,
-)
-from .capacity import CapacityReport, expected_member_similarity, measure_capacity
-from .classic import ClassicVSAClassifier, encode_record
-from .hypervector import (
-    bind,
-    bundle,
-    flip_fraction,
-    is_bipolar,
-    permute,
-    random_bipolar,
-    sign_bipolar,
-)
-from .itemmemory import ItemMemory, level_item_memory, random_item_memory
-from .resonator import ResonatorResult, resonator_factorize
-from .sequence import encode_ngram, encode_sequence, ngram_statistics_vector
-from .similarity import classify, cosine_similarity, dot_similarity, hamming_distance
+Each name loads its submodule on first use."""
 
-__all__ = [
-    "pack_bipolar",
-    "unpack_bipolar",
-    "popcount",
-    "xnor_popcount",
-    "hamming_distance_packed",
-    "dot_from_matches",
-    "bind",
-    "bundle",
-    "sign_bipolar",
-    "random_bipolar",
-    "permute",
-    "flip_fraction",
-    "is_bipolar",
-    "ItemMemory",
-    "random_item_memory",
-    "level_item_memory",
-    "dot_similarity",
-    "hamming_distance",
-    "cosine_similarity",
-    "classify",
-    "ClassicVSAClassifier",
-    "encode_record",
-    "CapacityReport",
-    "expected_member_similarity",
-    "measure_capacity",
-    "ResonatorResult",
-    "resonator_factorize",
-    "encode_ngram",
-    "encode_sequence",
-    "ngram_statistics_vector",
-]
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".bitops": (
+            "pack_bipolar",
+            "unpack_bipolar",
+            "popcount",
+            "xnor_popcount",
+            "hamming_distance_packed",
+            "dot_from_matches",
+        ),
+        ".hypervector": (
+            "bind",
+            "bundle",
+            "sign_bipolar",
+            "random_bipolar",
+            "permute",
+            "flip_fraction",
+            "is_bipolar",
+        ),
+        ".itemmemory": ("ItemMemory", "random_item_memory", "level_item_memory"),
+        ".similarity": ("dot_similarity", "hamming_distance", "cosine_similarity", "classify"),
+        ".classic": ("ClassicVSAClassifier", "encode_record"),
+        ".capacity": ("CapacityReport", "expected_member_similarity", "measure_capacity"),
+        ".resonator": ("ResonatorResult", "resonator_factorize"),
+        ".sequence": ("encode_ngram", "encode_sequence", "ngram_statistics_vector"),
+    },
+)

@@ -11,7 +11,7 @@ popcount, a word-loop match) and a fast path built on NumPy ufuncs
 gather for the match).  This module owns the choice:
 
 * the selection happens **once at import**
-  (``REPRO_KERNELS=legacy|fast|jit`` overrides it) and every call in
+  (``REPRO_KERNELS=legacy|fast`` overrides it) and every call in
   :mod:`repro.vsa.bitops` dispatches through the active
   :class:`KernelSet`;
 * :func:`using_kernels` temporarily swaps the set — the property tests
@@ -21,12 +21,6 @@ gather for the match).  This module owns the choice:
   active, so every profile and ledger record is attributable to a
   specific kernel configuration.
 
-The ``jit`` set (:mod:`repro.vsa.kernels_jit`) is optional: it needs
-Numba, and when the import fails — the common case on minimal installs —
-selection **falls back to the fast set instead of erroring**, with the
-downgrade recorded in :func:`kernel_info` (``fallback_from``) so ledger
-records never misattribute a fast run to the jit backend.
-
 All pack implementations use the same bit order (element ``d`` of a
 vector lands at bit ``d % 64`` of word ``d // 64``), so packed artifacts
 are interchangeable between sets.
@@ -34,6 +28,7 @@ are interchangeable between sets.
 
 from __future__ import annotations
 
+import functools
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -45,8 +40,9 @@ __all__ = [
     "KernelSet",
     "FAST_KERNELS",
     "LEGACY_KERNELS",
-    "JIT_KERNELS",
     "available_kernel_sets",
+    "conv_tables",
+    "lut8_counts",
     "get_kernels",
     "set_kernels",
     "using_kernels",
@@ -54,7 +50,6 @@ __all__ = [
     "kernel_info",
     "publish_kernel_metrics",
     "HAVE_BITWISE_COUNT",
-    "HAVE_JIT",
 ]
 
 WORD_BITS = 64
@@ -195,32 +190,37 @@ def _match_builder_words(key_bytes: np.ndarray):
     return matcher
 
 
-def _match_builder_lut8(key_bytes: np.ndarray):
-    """Byte-LUT match: one 256-entry XOR-popcount table per key byte.
+def conv_tables(key_bytes: np.ndarray) -> np.ndarray:
+    """One 256-entry XOR-popcount table per key byte, ``(n_bytes, 256, O)``.
 
-    The tables hold ``popcount(v ^ key[:, t])`` for every byte value
-    ``v`` — the match loop is then a pure gather-accumulate over the
-    operand bytes, never materializing an XOR intermediate (the DVP
-    lookup idea applied to the conv kernel itself).  uint16 accumulation
-    is exact while ``n_bytes * 8 <= 65535``, far beyond any conv block.
+    ``tables[t][v][c] == popcount(v ^ key[c, t])`` for every byte value
+    ``v``, so matching is a pure gather-accumulate over the operand bytes
+    that never materializes an XOR intermediate (the DVP lookup idea
+    applied to the conv kernel itself).  The fused engine keeps this
+    array resident and both of its conv backends read it.
     """
     key = _check_key(key_bytes)
-    o, n_bytes = key.shape
     pop8 = _pop16_table()[:256]
     byte_values = np.arange(256, dtype=np.uint8)
-    # (n_bytes, 256, O): tables[t][v] = per-channel XOR popcount of byte v.
-    tables = np.ascontiguousarray(
+    return np.ascontiguousarray(
         pop8[(byte_values[None, :, None] ^ key.T[:, None, :]).astype(np.intp)]
     )
 
-    def matcher(op_bytes: np.ndarray) -> np.ndarray:
-        op = np.asarray(op_bytes, dtype=np.uint8)
-        acc = np.zeros(op.shape[:-1] + (o,), dtype=np.uint16)
-        for t in range(n_bytes):
-            acc += tables[t][op[..., t]]
-        return acc
 
-    return matcher
+def lut8_counts(tables: np.ndarray, op_bytes: np.ndarray) -> np.ndarray:
+    """XOR bit counts ``(..., O)`` of operand bytes ``(..., n_bytes)``
+    against the key of :func:`conv_tables`.  uint16 accumulation is exact
+    while ``n_bytes * 8 <= 65535``, far beyond any conv block."""
+    op = np.asarray(op_bytes, dtype=np.uint8)
+    acc = np.zeros(op.shape[:-1] + (tables.shape[-1],), dtype=np.uint16)
+    for t in range(tables.shape[0]):
+        acc += tables[t][op[..., t]]
+    return acc
+
+
+def _match_builder_lut8(key_bytes: np.ndarray):
+    """Byte-LUT match: :func:`lut8_counts` over :func:`conv_tables`."""
+    return functools.partial(lut8_counts, conv_tables(key_bytes))
 
 
 # ---------------------------------------------------------------------------
@@ -265,54 +265,14 @@ FAST_KERNELS = KernelSet(
 
 _SETS = {"legacy": LEGACY_KERNELS, "fast": FAST_KERNELS}
 
-# The optional Numba backend registers itself only when its import
-# chain succeeds; a missing/broken numba leaves JIT_KERNELS = None and
-# the reason in JIT_UNAVAILABLE_REASON.  Nothing below may hard-fail on
-# its absence — "jit requested but unavailable" downgrades to fast.
-JIT_KERNELS: KernelSet | None = None
-JIT_UNAVAILABLE_REASON: str | None = None
-try:
-    from .kernels_jit import build_jit_kernels, numba_unavailable_reason
-
-    JIT_KERNELS = build_jit_kernels()
-    if JIT_KERNELS is None:
-        JIT_UNAVAILABLE_REASON = numba_unavailable_reason()
-except Exception as exc:  # pragma: no cover — a broken numba install
-    JIT_KERNELS = None
-    JIT_UNAVAILABLE_REASON = f"{type(exc).__name__}: {exc}"
-
-HAVE_JIT = JIT_KERNELS is not None
-if HAVE_JIT:
-    _SETS["jit"] = JIT_KERNELS
-
-#: Name of the set a selection was downgraded from (``"jit"`` when the
-#: jit backend was requested but unavailable), ``None`` otherwise.
-_fallback_from: str | None = None
-
 
 def available_kernel_sets() -> dict[str, KernelSet]:
     """Name -> :class:`KernelSet` for every selectable set."""
     return dict(_SETS)
 
 
-def _resolve_set(name: str) -> KernelSet:
-    """Resolve a set name, downgrading an unavailable ``jit`` to fast."""
-    global _fallback_from
-    if name == "jit" and not HAVE_JIT:
-        _fallback_from = "jit"
-        return FAST_KERNELS
-    try:
-        return _SETS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel set {name!r}; expected one of {sorted(_SETS)}"
-        ) from None
-
-
 def _default_kernels() -> KernelSet:
     requested = os.environ.get("REPRO_KERNELS", "fast").strip().lower()
-    if requested == "jit":
-        return _resolve_set("jit")
     return _SETS.get(requested, FAST_KERNELS)
 
 
@@ -327,14 +287,16 @@ def get_kernels() -> KernelSet:
 def set_kernels(kernels: KernelSet | str) -> KernelSet:
     """Install a kernel set (by name or instance); returns the active set.
 
-    Unknown names raise; ``"jit"`` on a host without Numba installs the
-    fast set instead (recorded as ``fallback_from`` in
-    :func:`kernel_info`) — the optional backend must never turn into a
-    hard failure.
+    Unknown names raise.
     """
     global _active
     if isinstance(kernels, str):
-        kernels = _resolve_set(kernels)
+        try:
+            kernels = _SETS[kernels]
+        except KeyError:
+            raise ValueError(
+                f"unknown kernel set {kernels!r}; expected one of {sorted(_SETS)}"
+            ) from None
     _active = kernels
     return _active
 
@@ -344,7 +306,6 @@ def wrap_kernels(
     pack: Callable[[np.ndarray], tuple[np.ndarray, int]] | None = None,
     unpack: Callable[[np.ndarray, int], np.ndarray] | None = None,
     popcount8: Callable[[np.ndarray], np.ndarray] | None = None,
-    match_builder: Callable | None = None,
     suffix: str = "+wrapped",
 ) -> KernelSet:
     """A derived :class:`KernelSet` with some primitives interposed.
@@ -362,9 +323,7 @@ def wrap_kernels(
         popcount8=popcount8 if popcount8 is not None else base.popcount8,
         pack_impl=base.pack_impl,
         popcount_impl=base.popcount_impl,
-        match_builder=(
-            match_builder if match_builder is not None else base.match_builder
-        ),
+        match_builder=base.match_builder,
         match_impl=base.match_impl,
     )
 
@@ -392,8 +351,6 @@ def kernel_info(kernels: KernelSet | None = None) -> dict:
         "match": active.match_impl,
         "numpy": np.__version__,
         "bitwise_count_available": HAVE_BITWISE_COUNT,
-        "jit_available": HAVE_JIT,
-        "fallback_from": _fallback_from,
     }
     info.update(cc_info())
     return info

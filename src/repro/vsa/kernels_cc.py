@@ -17,14 +17,17 @@ Design constraints:
   loops must unroll; a runtime tap count defeats vectorization) and
   compiled with ``gcc -O3 -march=native`` into a per-user cache dir
   under the system temp dir.  The artifact is keyed by a hash of the
-  source and reused across processes; compilation is atomic
-  (temp + rename) so concurrent workers race benignly.
-* **Bit-exactness by construction.**  The threshold compare
-  ``fires = (counts <= bound) ^ flip`` is re-encoded as an inclusive
-  window ``blo <= acc <= bhi`` in unsigned space: flip channels get
-  ``[bound+1, inf)``, plain channels ``[0, bound]``, and a negative
-  plain bound (never fires) becomes the empty window ``[1, 0]``.
-  Bounds are uint16 so tap counts up to 8k bits stay exact.
+  source, the compile flags and the host CPU identity — a
+  ``-march=native`` binary found in a temp dir shared with another host
+  must not be loaded here — and reused across processes; compilation
+  is atomic (temp + rename) so concurrent workers race benignly.
+* **The engine owns the operands.**  The tap tables and the inclusive
+  XOR-count window ``lo <= acc <= hi`` per channel are the fused
+  engine's resident arrays (``BitPackedUniVSA._init_fused``), which its
+  NumPy matcher reads too, so the integrity scrubber covers every byte
+  this kernel reads.  Every pointer handed to C is checked for dtype,
+  shape and contiguity first: at build for the engine's arrays, on each
+  call for the volume.
 * **Graceful degradation.**  ``REPRO_CC=0`` (or ``off``/``false``/
   ``no``), a missing compiler, or a failed build all surface as
   ``build_conv_fires(...) -> None`` with the reason recorded — callers
@@ -38,6 +41,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import tempfile
@@ -132,11 +136,43 @@ def _cache_dir() -> str:
     return path
 
 
+#: Compile attempts in order: tuned for this CPU, then portable.
+_FLAG_SETS = (("-O3", "-march=native", "-funroll-loops"), ("-O3",))
+
+#: ``/proc/cpuinfo`` fields that identify what ``-march=native`` targets
+#: (x86 and ARM spellings); per-core and clock fields are left out.
+_CPU_FIELDS = {
+    "vendor_id", "cpu family", "model", "model name", "stepping", "flags",
+    "CPU implementer", "CPU architecture", "CPU variant", "CPU part", "Features",
+}
+
+
+def _host_cpu() -> str:
+    """The host CPU identity, from the first processor in /proc/cpuinfo."""
+    lines = [platform.machine()]
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8", errors="replace") as fh:
+            for line in fh:
+                if not line.strip():
+                    break
+                if line.split(":", 1)[0].strip() in _CPU_FIELDS:
+                    lines.append(line.strip())
+    except OSError:
+        lines.append(platform.processor())
+    return "\n".join(lines)
+
+
+def _artifact_name(taps: int, source: str) -> str:
+    """The cached library's file name: a hash of everything that decides
+    whether a built binary runs correctly here."""
+    key = "\0".join([source, repr(_FLAG_SETS), _host_cpu()])
+    return f"conv{taps}-{hashlib.sha256(key.encode()).hexdigest()[:16]}.so"
+
+
 def _compile(taps: int) -> ctypes.CDLL:
     source = _C_TEMPLATE.format(taps=taps)
-    digest = hashlib.sha256(source.encode()).hexdigest()[:12]
     cache = _cache_dir()
-    so_path = os.path.join(cache, f"conv{taps}-{digest}.so")
+    so_path = os.path.join(cache, _artifact_name(taps, source))
     if not os.path.exists(so_path):
         gcc = shutil.which("gcc") or shutil.which("cc")
         if gcc is None:
@@ -145,14 +181,10 @@ def _compile(taps: int) -> ctypes.CDLL:
         with os.fdopen(fd, "w") as fh:
             fh.write(source)
         tmp_so = c_path[:-2] + ".so"
-        base = [gcc, "-O3", "-shared", "-fPIC", "-o", tmp_so, c_path]
         try:
-            attempts = (
-                base[:1] + ["-march=native", "-funroll-loops"] + base[1:],
-                base,
-            )
             last = None
-            for cmd in attempts:
+            for flags in _FLAG_SETS:
+                cmd = [gcc, *flags, "-shared", "-fPIC", "-o", tmp_so, c_path]
                 last = subprocess.run(cmd, capture_output=True, text=True)
                 if last.returncode == 0:
                     break
@@ -189,53 +221,52 @@ def _load(taps: int) -> ctypes.CDLL | None:
         return lib
 
 
-_POP8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+def _operands_ok(tables, lo, hi, taps: int) -> bool:
+    """Whether the engine's operand arrays have the layout the C loop assumes."""
+    o = tables.shape[-1]
+    return (
+        tables.shape == (taps, 256, o)
+        and tables.dtype == np.uint8
+        and lo.shape == hi.shape == (o,)
+        and lo.dtype == hi.dtype == np.uint16
+        and all(a.flags.c_contiguous for a in (tables, lo, hi))
+    )
 
 
-def build_conv_fires(tap_bytes, bound, flip, k, nb):
-    """Build a compiled fires function for one engine's conv operands.
+def build_conv_fires(tables, lo, hi, k, nb):
+    """Build a compiled fires function over one engine's conv operands.
 
-    ``tap_bytes`` is the ``(O, k*k*nb)`` uint8 kernel-tap plane in operand
-    order, ``bound``/``flip`` the XOR-space threshold encoding from
-    ``BitPackedUniVSA._init_fused``.  Returns
-    ``fires_fn(padded_volume_bytes) -> (B, H*W, O) uint8`` operating on
-    the zero-padded ``(B, H+k-1, W+k-1, nb)`` DVP byte volume, or
-    ``None`` when the compiled backend is unavailable (reason recorded in
-    :func:`cc_info`).
+    ``tables`` is the engine's ``(k*k*nb, 256, O)`` uint8 per-tap
+    XOR-popcount table (:func:`repro.vsa.kernels.conv_tables`) and
+    ``lo``/``hi`` its ``(O,)`` uint16 XOR-count window; a channel fires
+    when ``lo <= count <= hi``.  The kernel reads these very arrays, not
+    copies, so a flip in resident memory and its repair are both seen.
+    Returns ``fires_fn(padded_volume_bytes) -> (B, H*W, O) uint8``
+    operating on the zero-padded ``(B, H+k-1, W+k-1, nb)`` uint8 DVP byte
+    volume, or ``None`` when the compiled backend is unavailable or the
+    operands have another layout (reason recorded in :func:`cc_info`).
     """
     global _global_reason
     if not cc_enabled():
         _global_reason = f"disabled via {_ENV_FLAG}"
         return None
-    tap_bytes = np.ascontiguousarray(np.asarray(tap_bytes, dtype=np.uint8))
-    o, taps = tap_bytes.shape
-    if taps != k * k * nb:
-        _global_reason = f"tap layout mismatch: {taps} != {k}*{k}*{nb}"
+    taps = k * k * nb
+    if not _operands_ok(tables, lo, hi, taps):
+        _global_reason = (
+            f"operand layout mismatch: want ({taps}, 256, O) uint8 tables and "
+            "(O,) uint16 bounds, all C-contiguous"
+        )
         return None
+    o = tables.shape[2]
     lib = _load(taps)
     if lib is None:
         return None
     fn = lib.conv_fires
 
-    # (taps, 256, O): per-tap XOR popcount rows, uint8 (each <= 8).
-    byte_values = np.arange(256, dtype=np.uint8)
-    tables = np.ascontiguousarray(
-        _POP8[byte_values[None, :, None] ^ tap_bytes.T[:, None, :]]
-    )
-    bound = np.asarray(bound, dtype=np.int64)
-    flip = np.asarray(flip, dtype=bool)
-    blo = np.where(
-        flip, np.clip(bound + 1, 0, 0xFFFF), np.where(bound < 0, 1, 0)
-    ).astype(np.uint16)
-    bhi = np.where(flip, 0xFFFF, np.clip(bound, 0, 0xFFFF)).astype(np.uint16)
-    blo = np.ascontiguousarray(blo)
-    bhi = np.ascontiguousarray(bhi)
-
-    offs_cache: dict[tuple[int, int], np.ndarray] = {}
+    offs_cache: dict[int, np.ndarray] = {}
 
     def _offsets(wp: int) -> np.ndarray:
-        key = (wp, nb)
-        offs = offs_cache.get(key)
+        offs = offs_cache.get(wp)
         if offs is None:
             row_stride = wp * nb
             kh, kw, cb = np.meshgrid(
@@ -243,12 +274,26 @@ def build_conv_fires(tap_bytes, bound, flip, k, nb):
             )
             offs = (kh * row_stride + kw * nb + cb).reshape(-1).astype(np.int64)
             offs = np.ascontiguousarray(offs)
-            offs_cache[key] = offs
+            offs_cache[wp] = offs
         return offs
 
     def fires_fn(padded: np.ndarray) -> np.ndarray:
+        # The C loop trusts these: a wider dtype or another channel-byte
+        # count would make it read table rows and volume bytes that do
+        # not exist.
+        if (
+            padded.dtype != np.uint8
+            or padded.ndim != 4
+            or padded.shape[-1] != nb
+            or padded.shape[1] < k
+            or padded.shape[2] < k
+        ):
+            raise ValueError(
+                f"conv volume must be (B, H+{k - 1}, W+{k - 1}, {nb}) uint8, "
+                f"got {padded.dtype} {padded.shape}"
+            )
         padded = np.ascontiguousarray(padded)
-        b, hp, wp, nb_local = padded.shape
+        b, hp, wp, _ = padded.shape
         h = hp - (k - 1)
         w = wp - (k - 1)
         offs = _offsets(wp)
@@ -257,15 +302,15 @@ def build_conv_fires(tap_bytes, bound, flip, k, nb):
             padded.ctypes.data_as(ctypes.c_void_p),
             offs.ctypes.data_as(ctypes.c_void_p),
             tables.ctypes.data_as(ctypes.c_void_p),
-            blo.ctypes.data_as(ctypes.c_void_p),
-            bhi.ctypes.data_as(ctypes.c_void_p),
+            lo.ctypes.data_as(ctypes.c_void_p),
+            hi.ctypes.data_as(ctypes.c_void_p),
             out.ctypes.data_as(ctypes.c_void_p),
             b,
             h,
             w,
-            hp * wp * nb_local,
-            wp * nb_local,
-            nb_local,
+            hp * wp * nb,
+            wp * nb,
+            nb,
             o,
         )
         return out

@@ -39,6 +39,7 @@ from repro.runtime.integrity import (
     verify_archive,
     verify_manifest,
 )
+from repro.vsa.kernels_cc import reset_cc
 
 LEVELS = 10
 SHAPE = (5, 8)
@@ -301,6 +302,31 @@ class TestScrubber:
                 assert scrubber.engine is runner.engine
                 result = runner.run(samples)
         np.testing.assert_array_equal(result.predictions, expected)
+
+    @pytest.mark.parametrize("cc", ["1", "0"])
+    def test_fused_conv_tables_are_scrubbed_and_repaired(
+        self, artifacts, cc, monkeypatch
+    ):
+        """Both fused conv backends (compiled and NumPy) read the per-tap
+        tables; damage to them must be named by the scrub and repaired."""
+        monkeypatch.setenv("REPRO_CC", cc)
+        samples = _samples(16, seed=7)
+        try:
+            engine = BitPackedUniVSA(copy.deepcopy(artifacts), mode="fused")
+            if cc == "1" and engine.conv_backend != "cc":
+                pytest.skip("compiled conv backend unavailable")
+            assert "engine.conv_tables" in engine.operand_state()[0]
+            expected = engine.scores(samples)
+            scrubber = IntegrityScrubber(engine)
+            engine._conv_tables[...] = 0
+            assert not np.array_equal(engine.scores(samples), expected)
+            with using_registry(MetricsRegistry()):
+                report = scrubber.scrub()
+            assert report.corrupted == ["engine.conv_tables"]
+            assert report.repaired
+            np.testing.assert_array_equal(scrubber.engine.scores(samples), expected)
+        finally:
+            reset_cc()
 
     def test_status_for_admin_plane(self, artifacts):
         engine = BitPackedUniVSA(copy.deepcopy(artifacts))

@@ -227,6 +227,18 @@ class TestHealthyPath:
                 runner.predict(levels), engine.predict(levels)
             )
 
+    @pytest.mark.parametrize("mode", ["fused", "legacy"])
+    def test_shards_report_the_serving_engine_mode(self, engine, mode):
+        serving = engine.sibling(mode)
+        levels = _levels_batch(12, seed=3)
+        with ResilientBatchRunner(
+            serving, shard_size=4, workers=2, policy=FAST_POLICY, chaos=ChaosSpec()
+        ) as runner:
+            result = runner.run(levels)
+        np.testing.assert_array_equal(result.scores, serving.scores(levels))
+        assert [s.engine for s in result.report.shards] == [mode] * 3
+        assert [s.as_dict()["engine"] for s in result.report.shards] == [mode] * 3
+
     def test_empty_batch(self, engine):
         with ResilientBatchRunner(engine, policy=FAST_POLICY, chaos=ChaosSpec()) as r:
             result = r.run(_levels_batch(0))

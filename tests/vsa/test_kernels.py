@@ -21,8 +21,6 @@ from repro.vsa import (
 )
 from repro.vsa.kernels import (
     FAST_KERNELS,
-    HAVE_JIT,
-    JIT_KERNELS,
     LEGACY_KERNELS,
     available_kernel_sets,
     get_kernels,
@@ -34,11 +32,8 @@ from repro.vsa.kernels import (
 
 
 def _match_sets():
-    """Every registered kernel set (jit included when importable)."""
-    sets = [FAST_KERNELS, LEGACY_KERNELS]
-    if HAVE_JIT:
-        sets.append(JIT_KERNELS)
-    return sets
+    """Every registered kernel set."""
+    return [FAST_KERNELS, LEGACY_KERNELS]
 
 RNG = np.random.default_rng(11)
 
@@ -192,19 +187,9 @@ class TestMatchBuilderEquality:
 class TestDispatch:
     def test_available_sets(self):
         sets = available_kernel_sets()
-        expected = {"fast", "legacy"} | ({"jit"} if HAVE_JIT else set())
-        assert set(sets) == expected
+        assert set(sets) == {"fast", "legacy"}
         assert sets["fast"] is FAST_KERNELS
         assert sets["legacy"] is LEGACY_KERNELS
-
-    def test_jit_selection_never_hard_fails(self):
-        """``jit`` always resolves: to the jit set, or to fast (recorded)."""
-        with using_kernels("jit") as active:
-            if HAVE_JIT:
-                assert active.name == "jit"
-            else:
-                assert active is FAST_KERNELS
-                assert kernel_info()["fallback_from"] == "jit"
 
     def test_set_kernels_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown kernel set"):
@@ -233,8 +218,6 @@ class TestDispatch:
             "match",
             "numpy",
             "bitwise_count_available",
-            "jit_available",
-            "fallback_from",
             "cc_conv_enabled",
             "cc_conv_compiled_taps",
             "cc_conv_unavailable_reason",

@@ -4,13 +4,16 @@ The cc backend is an *optimization with an escape hatch*: every test
 here either proves it computes exactly what the NumPy matcher computes,
 or proves that turning it off (env flag, missing compiler, bad operand
 layout) degrades to the NumPy path with the reason recorded — never to
-an error, never to different scores.
+an error, never to different scores.  What reaches the C loop is checked
+first: a volume it would index out of bounds raises, and the cached
+binary is keyed on everything that decides whether it runs here.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import BitPackedUniVSA, UniVSAConfig, UniVSAModel, extract_artifacts
+from repro.vsa import kernels_cc
 from repro.vsa.kernels_cc import build_conv_fires, cc_enabled, cc_info, reset_cc
 
 LEVELS = 10
@@ -114,8 +117,9 @@ class TestGating:
         assert engine.conv_backend == "numpy"
 
     def test_bad_tap_layout_degrades_with_reason(self):
-        taps = np.zeros((4, 10), dtype=np.uint8)  # 10 != 3*3*2
-        fires = build_conv_fires(taps, np.zeros(4), np.zeros(4, dtype=bool), 3, 2)
+        tables = np.zeros((10, 256, 4), dtype=np.uint8)  # 10 != 3*3*2
+        bound = np.zeros(4, dtype=np.uint16)
+        fires = build_conv_fires(tables, bound, bound, 3, 2)
         assert fires is None
         assert "mismatch" in (cc_info()["cc_conv_unavailable_reason"] or "")
 
@@ -126,3 +130,34 @@ class TestGating:
         assert "cc_conv_enabled" in info
         assert "cc_conv_compiled_taps" in info
         assert "cc_conv_unavailable_reason" in info
+
+
+class TestNativeBoundary:
+    def test_volume_dtype_is_checked_before_the_call(self, artifacts):
+        engine = _cc_engine(artifacts)
+        volume = engine._dvp_bytes(_levels(2))
+        padded = np.pad(volume, ((0, 0), (1, 1), (1, 1), (0, 0)))
+        with pytest.raises(ValueError, match="uint8"):
+            engine._cc_conv(padded.astype(np.uint16))
+        # the checked call itself still runs
+        assert engine._cc_conv(padded).shape == (2, SHAPE[0] * SHAPE[1], 6)
+
+    def test_volume_channel_bytes_are_checked_before_the_call(self, artifacts):
+        engine = _cc_engine(artifacts)
+        padded = np.pad(
+            engine._dvp_bytes(_levels(2)), ((0, 0), (1, 1), (1, 1), (0, 0))
+        )
+        with pytest.raises(ValueError, match="conv volume"):
+            engine._cc_conv(np.concatenate([padded, padded], axis=-1))
+
+    def test_cached_binary_is_keyed_on_flags_and_cpu(self, monkeypatch):
+        """A -march=native build found in a shared temp dir must not be
+        loaded on another CPU or reused for other compile flags."""
+        source = kernels_cc._C_TEMPLATE.format(taps=18)
+        name = kernels_cc._artifact_name(18, source)
+        assert kernels_cc._artifact_name(18, source) == name
+        monkeypatch.setattr(kernels_cc, "_host_cpu", lambda: "another cpu")
+        assert kernels_cc._artifact_name(18, source) != name
+        monkeypatch.undo()
+        monkeypatch.setattr(kernels_cc, "_FLAG_SETS", (("-O2",),))
+        assert kernels_cc._artifact_name(18, source) != name
