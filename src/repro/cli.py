@@ -399,6 +399,20 @@ def _cmd_verify_artifacts(args: argparse.Namespace) -> int:
     return 0
 
 
+def _serve_policy(args: argparse.Namespace):
+    """``REPRO_SERVE_*`` provides the serving policy; flags given win."""
+    import dataclasses
+
+    from repro.runtime import ServePolicy
+
+    flags = {
+        name: getattr(args, name)
+        for name in ("max_batch", "deadline_ms", "max_queue", "max_inflight")
+        if getattr(args, name) is not None
+    }
+    return dataclasses.replace(ServePolicy.from_env(), **flags)
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the micro-batching TCP serving daemon until interrupted."""
     import asyncio
@@ -411,7 +425,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         MicroBatchServer,
         NetPolicy,
         ResilientBatchRunner,
-        ServePolicy,
         serve_tcp,
     )
 
@@ -439,17 +452,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         artifacts = run.artifacts
         name = args.benchmark
-    engine = BitPackedUniVSA(artifacts, mode="fast")
-    policy = ServePolicy(
-        max_batch=args.max_batch,
-        deadline_ms=args.deadline_ms,
-        max_queue=args.max_queue,
-        max_inflight=(
-            args.max_inflight
-            if args.max_inflight is not None
-            else ServePolicy.from_env().max_inflight
-        ),
-    )
+    engine = BitPackedUniVSA(artifacts, mode="fused")
+    policy = _serve_policy(args)
     # REPRO_SLO_* provides the objective; explicit flags win over env.
     slo = SLO.from_env()
     import dataclasses
@@ -496,7 +500,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 host, port = tcp.sockets[0].getsockname()[:2]
                 print(
                     f"serving {name} on {host}:{port} "
-                    f"(batch<={policy.max_batch}, deadline {policy.deadline_ms:g} ms, "
+                    f"(engine {engine.mode}/{engine.conv_backend}, "
+                    f"batch<={policy.max_batch}, deadline {policy.deadline_ms:g} ms, "
                     f"queue<={policy.max_queue}, "
                     f"inflight<={policy.max_inflight}, "
                     f"slo p99<={slo.p99_ms:g} ms @ {slo.availability:g}, "
@@ -538,18 +543,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
     from repro.data import get_benchmark
     from repro.obs import DEFAULT_LEDGER_PATH, Ledger, write_trajectories
-    from repro.runtime import ServePolicy, bench_serve
+    from repro.runtime import bench_serve
 
-    policy = ServePolicy(
-        max_batch=args.max_batch,
-        deadline_ms=args.deadline_ms,
-        max_queue=args.max_queue,
-        max_inflight=(
-            args.max_inflight
-            if args.max_inflight is not None
-            else ServePolicy.from_env().max_inflight
-        ),
-    )
+    policy = _serve_policy(args)
     rates = tuple(float(r) for r in args.rates.split(","))
     absolute = (
         tuple(float(r) for r in args.rate.split(",")) if args.rate else None
@@ -625,8 +621,13 @@ def _render_top(state: dict) -> str:
     counters = state.get("counters", {})
     slo = state.get("slo", {})
     objective = slo.get("objective", {})
+    engine = state.get("engine", {})
+    engine_line = f"{engine.get('mode', '?')} / {engine.get('conv_backend', '?')}"
+    if engine.get("cc_conv_unavailable_reason"):
+        engine_line += f" ({engine['cc_conv_unavailable_reason']})"
     header = render_kv(
         {
+            "engine": engine_line,
             "queue depth": state.get("queue_depth", 0),
             "in flight": state.get("inflight", 0),
             "draining": state.get("draining", False),
@@ -1293,16 +1294,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _add_serve_policy_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--max-batch", type=int, default=64, help="samples per micro-batch"
+            "--max-batch", type=int, default=None,
+            help="samples per micro-batch (default: REPRO_SERVE_BATCH or 64)",
         )
         p.add_argument(
-            "--deadline-ms", type=float, default=50.0,
+            "--deadline-ms", type=float, default=None,
             help="per-request latency budget, reported with the policy; it "
-            "does not time flushes (default 50 ms)",
+            "does not time flushes (default: REPRO_SERVE_DEADLINE_MS or 50 ms)",
         )
         p.add_argument(
-            "--max-queue", type=int, default=1024,
-            help="queued samples before load shedding (default 1024)",
+            "--max-queue", type=int, default=None,
+            help="queued samples before load shedding "
+            "(default: REPRO_SERVE_QUEUE or 1024)",
         )
         p.add_argument(
             "--max-inflight", type=int, default=None,

@@ -289,23 +289,73 @@ class BitPackedUniVSA:
         compiled kernel (:mod:`repro.vsa.kernels_cc`) computes the fires
         plane straight from the padded DVP byte volume over the same
         tables and window — bit-exact with each other.  The compiled
-        kernel is used unless ``REPRO_CC`` disables it or the build fails,
-        in which case the engine keeps the matcher and ``kernel_info()``
-        records the reason.  Without tables (the legacy kernel set, the
-        reference configuration) the set's own word-level matcher runs,
-        and nothing is compiled.
+        kernel is used unless ``REPRO_CC`` disables it, the build fails,
+        or it disagrees with the matcher on a seeded volume of this
+        engine's shape (a self-test at every bind: build, worker attach,
+        repair); then the engine keeps the matcher and both
+        ``kernel_info()`` and :attr:`conv_unavailable_reason` record why.
+        Without tables (the legacy kernel set, the reference
+        configuration) the set's own word-level matcher runs, and nothing
+        is compiled.
         """
+        self._cc_conv = None
         tables = getattr(self, "_conv_tables", None)
         if tables is None:
             self._fused_matcher = get_kernels().match_builder(self._kernel_tap_bytes)
-            self._cc_conv = None
+            self._cc_reason = "the legacy kernel set keeps its word-level matcher"
             return
-        from repro.vsa.kernels_cc import build_conv_fires
+        from repro.vsa import kernels_cc
 
         self._fused_matcher = functools.partial(lut8_counts, tables)
         k = self.artifacts.kernel.shape[2]
         nb = self._kernel_tap_bytes.shape[-1] // (k * k)
-        self._cc_conv = build_conv_fires(tables, self._conv_lo, self._conv_hi, k, nb)
+        fires_fn = kernels_cc.build_conv_fires(
+            tables, self._conv_lo, self._conv_hi, k, nb
+        )
+        if fires_fn is None:
+            self._cc_reason = kernels_cc.cc_info()["cc_conv_unavailable_reason"]
+            return
+        self._cc_reason = self._conv_self_test(fires_fn, k, nb)
+        if self._cc_reason is not None:
+            kernels_cc.record_unavailable(self._cc_reason)
+            return
+        self._cc_conv = fires_fn
+
+    def _conv_self_test(self, fires_fn, k: int, nb: int) -> str | None:
+        """Run a compiled fires function and the NumPy matcher over one
+        seeded random padded volume of this engine's shape; returns the
+        reason to distrust it, or ``None`` when the two agree exactly."""
+        h, w = self.input_shape
+        volume = np.random.default_rng(0).integers(
+            0, 256, size=(1, h + k - 1, w + k - 1, nb), dtype=np.uint8
+        )
+        try:
+            got = fires_fn(volume)
+        except Exception as exc:  # noqa: BLE001 — any failure disqualifies it
+            return f"self-test failed: compiled conv raised {type(exc).__name__}: {exc}"
+        want = self._numpy_fires(volume)
+        if got.shape != want.shape:
+            wrong = want.size
+        else:
+            wrong = int(np.count_nonzero(got != want))
+        if wrong:
+            return (
+                f"self-test failed: compiled conv differs from the NumPy "
+                f"matcher on {wrong} of {want.size} fires"
+            )
+        return None
+
+    def _numpy_fires(self, padded: np.ndarray) -> np.ndarray:
+        """The ``(B, H*W, O)`` fires plane of a zero-padded DVP byte volume,
+        through the NumPy matcher and the XOR-count window."""
+        k = self.artifacts.kernel.shape[2]
+        h, w = self.input_shape
+        windows = sliding_window_view(padded, (k, k), axis=(1, 2))
+        operand = windows.transpose(0, 1, 2, 4, 5, 3).reshape(
+            padded.shape[0], h * w, -1
+        )
+        counts = self._fused_matcher(operand)  # (B, P, O) XOR bits
+        return (self._conv_lo <= counts) & (counts <= self._conv_hi)
 
     @property
     def conv_backend(self) -> str:
@@ -313,6 +363,18 @@ class BitPackedUniVSA:
         if getattr(self, "_cc_conv", None) is not None:
             return "cc"
         return "numpy"
+
+    @property
+    def conv_unavailable_reason(self) -> str | None:
+        """Why the BiConv does not run the compiled kernel (``None`` when
+        it does)."""
+        if self.conv_backend == "cc":
+            return None
+        if self.mode != "fused":
+            return f"the {self.mode} engine has no compiled conv"
+        if self.artifacts.kernel is None:
+            return "the model has no conv layer"
+        return getattr(self, "_cc_reason", None)
 
     def _fused_tile(self) -> int:
         """Batch-tile size keeping one tile's *entire* pipeline in budget."""
@@ -339,10 +401,8 @@ class BitPackedUniVSA:
         out = np.empty((b, n_classes), dtype=np.int64)
         kernel = self.artifacts.kernel
         if kernel is not None:
-            k = kernel.shape[2]
-            pad = k // 2
+            pad = kernel.shape[2] // 2
         tile = self._fused_tile()
-        h, w = self.input_shape
         n_tiles = 0
         for start in range(0, b, tile):
             stop = min(start + tile, b)
@@ -357,12 +417,7 @@ class BitPackedUniVSA:
                     if self._cc_conv is not None:
                         fires = self._cc_conv(padded)  # (T, P, O) uint8 0/1
                     else:
-                        windows = sliding_window_view(padded, (k, k), axis=(1, 2))
-                        operand = windows.transpose(0, 1, 2, 4, 5, 3).reshape(
-                            stop - start, h * w, -1
-                        )
-                        counts = self._fused_matcher(operand)  # (T, P, O) XOR bits
-                        fires = (self._conv_lo <= counts) & (counts <= self._conv_hi)
+                        fires = self._numpy_fires(padded)
                 feature_words = _bytes_to_words(_pack_bytes(fires))
             else:
                 feature_words = _bytes_to_words(

@@ -13,7 +13,10 @@ of waiting for a batch).  Each flush is counted once, as
 ``serve.flush.full`` (the batch left with ``max_batch`` samples) or
 ``serve.flush.partial``.
 
-Each micro-batch executes on a
+A lone request on an idle pipeline (one pending, no batch in flight) is
+answered inline on the event loop, with no executor hand-off in either
+direction (``serve.pipeline.inline``).  Every other flush — more than
+one pending, or a batch already in flight — executes on a
 :class:`~repro.runtime.resilience.ResilientBatchRunner` via a small
 executor with ``ServePolicy.max_inflight`` slots (default 2): while
 batch N executes, batch N+1 dispatches into the other slot, so
@@ -24,8 +27,8 @@ before batch N — and with every slot busy the flusher back-pressures
 while the queue keeps accepting.  Per-sample scores/labels — including
 quarantine sentinels — are fanned back to the right futures in arrival
 order.  ``serve.pipeline.*`` instruments (slots / inflight /
-inflight_max gauges, dispatched / barriers counters) account for the
-overlap.
+inflight_max gauges, dispatched / inline / barriers counters) account
+for the overlap.
 
 Overload is handled by admission control, not collapse: past
 ``max_queue`` queued samples a request is immediately answered with
@@ -424,7 +427,8 @@ class MicroBatchServer:
     async def _flush_loop(self) -> None:
         """Work-conserving dispatch: while requests are pending, wait
         only for an open window and a free slot, then send up to
-        ``max_batch`` of them."""
+        ``max_batch`` of them — or, for a lone request with nothing in
+        flight, answer it inline."""
         max_batch = self.policy.max_batch
         while True:
             if not self._pending:
@@ -443,7 +447,32 @@ class MicroBatchServer:
             trigger = "full" if len(batch) == max_batch else "partial"
             registry.counter(f"serve.flush.{trigger}").add(1)
             registry.gauge("serve.queue_depth").set(len(self._pending))
-            self._dispatch(batch)
+            if len(batch) == 1 and not self._pending and not self._inflight_tasks:
+                self._run_inline(batch)
+            else:
+                self._dispatch(batch)
+
+    def _run_inline(self, batch: list[_Request]) -> None:
+        """Answer a lone request on an idle pipeline right here, on the
+        event loop: with nothing to coalesce or overlap it with, the two
+        executor hand-offs would be pure latency.  It runs the same
+        ``_run_batch`` (chaos seam, ``serve.batch`` timer, the runner's
+        whole ladder) under the next dispatch ordinal; nothing is in
+        flight to fan out ahead of it.  The loop is held for the call,
+        so arrivals meanwhile queue up and leave together through a
+        slot."""
+        ordinal = self._batches_started
+        self._batches_started += 1
+        get_registry().counter("serve.pipeline.inline").add(1)
+        levels = self._admit(batch)
+        try:
+            result = self._run_batch(levels, ordinal)
+        except Exception as exc:  # noqa: BLE001 — must not kill the daemon
+            self._fail_batch(batch, self._failure_reason(exc))
+        else:
+            self._fan_out(batch, result)
+        finally:
+            self._release(batch)
 
     async def _slot_free(self) -> None:
         """Return once the dispatch window is open (a scrub barrier
@@ -490,12 +519,7 @@ class MicroBatchServer:
         prev_gate: asyncio.Future | None,
         gate: asyncio.Future,
     ) -> None:
-        registry = get_registry()
-        registry.counter("serve.batches").add(1)
-        registry.counter("serve.batched_samples").add(len(batch))
-        self._inflight += len(batch)
-        registry.gauge("serve.inflight").set(self._inflight)
-        levels = np.stack([request.levels for request in batch])
+        levels = self._admit(batch)
         result = None
         failure = None
         try:
@@ -503,11 +527,8 @@ class MicroBatchServer:
                 result = await self._loop.run_in_executor(
                     self._executor, self._run_batch, levels, ordinal
                 )
-            except CircuitOpenError:
-                registry.counter("serve.breaker_trips").add(1)
-                failure = "circuit-open"
             except Exception as exc:  # noqa: BLE001 — must not kill the daemon
-                failure = type(exc).__name__
+                failure = self._failure_reason(exc)
             if prev_gate is not None:
                 # FIFO fan-out: batch N+1 never answers before batch N,
                 # even when it finishes computing first.
@@ -517,16 +538,36 @@ class MicroBatchServer:
             else:
                 self._fan_out(batch, result)
         finally:
-            self._inflight = max(0, self._inflight - len(batch))
-            registry.gauge("serve.inflight").set(self._inflight)
+            self._release(batch)
             if not gate.done():
                 gate.set_result(None)
             task = asyncio.current_task()
             if task in self._inflight_tasks:
                 self._inflight_tasks.remove(task)
-            registry.gauge("serve.pipeline.inflight").set(
+            get_registry().gauge("serve.pipeline.inflight").set(
                 len(self._inflight_tasks)
             )
+
+    def _admit(self, batch: list[_Request]) -> np.ndarray:
+        """Count one executing micro-batch; returns its stacked levels."""
+        registry = get_registry()
+        registry.counter("serve.batches").add(1)
+        registry.counter("serve.batched_samples").add(len(batch))
+        self._inflight += len(batch)
+        registry.gauge("serve.inflight").set(self._inflight)
+        return np.stack([request.levels for request in batch])
+
+    def _release(self, batch: list[_Request]) -> None:
+        self._inflight = max(0, self._inflight - len(batch))
+        get_registry().gauge("serve.inflight").set(self._inflight)
+
+    @staticmethod
+    def _failure_reason(exc: Exception) -> str:
+        """The ``failed`` answer's reason for a batch whose run raised."""
+        if isinstance(exc, CircuitOpenError):
+            get_registry().counter("serve.breaker_trips").add(1)
+            return "circuit-open"
+        return type(exc).__name__
 
     def _fan_out(self, batch: list[_Request], result) -> None:
         """Resolve every request future of one completed micro-batch."""
@@ -566,14 +607,16 @@ class MicroBatchServer:
         self.slo.publish(registry)
 
     def _run_batch(self, levels: np.ndarray, ordinal: int):
-        """Executor-thread body: one resilient batch under a serve span."""
+        """One resilient batch under a serve span, on a pipeline slot or
+        inline on the event loop."""
         with stage_timer("serve.batch"):
             chaos = getattr(self.runner, "chaos", None)
             if chaos is not None and getattr(chaos, "corrupt_rate", 0.0):
                 # The corrupt:P chaos seam: between batches, flip bits in
                 # the engine's resident memory.  Indexed by the dispatch
-                # ordinal (corrupt chaos pins the pipeline to one slot,
-                # so the ordinal is the execution order) for reproducible
+                # ordinal (corrupt chaos pins the pipeline to one slot
+                # and an inline batch runs only with none in flight, so
+                # the ordinal is the execution order) for reproducible
                 # corruption.
                 maybe_corrupt_resident(self.runner.engine, chaos, ordinal)
             return self.runner.run(levels)
@@ -668,18 +711,27 @@ class MicroBatchServer:
     def admin_snapshot(self) -> dict:
         """Live operational state for the admin endpoint / ``repro top``.
 
-        Queue depth, in-flight batch size, the serving policy, the SLO
-        error-budget state, and the active registry's full counter /
-        gauge / stage-summary snapshot — which, thanks to the worker
-        harvest, includes worker-side ``packed.*`` stage time and
-        per-worker kernel gauges.
+        Queue depth, in-flight batch size, the serving policy, the engine
+        the runner serves with (mode, conv backend and, off the compiled
+        kernel, why), the SLO error-budget state, and the active
+        registry's full counter / gauge / stage-summary snapshot — which,
+        thanks to the worker harvest, includes worker-side ``packed.*``
+        stage time and per-worker kernel gauges.
         """
         registry = get_registry()
         state = snapshot(registry)
+        engine = self.runner.engine
         out = {
             "queue_depth": self.queue_depth,
             "inflight": self._inflight,
             "draining": self._closing,
+            "engine": {
+                "mode": getattr(engine, "mode", None),
+                "conv_backend": getattr(engine, "conv_backend", None),
+                "cc_conv_unavailable_reason": getattr(
+                    engine, "conv_unavailable_reason", None
+                ),
+            },
             "policy": {
                 "max_batch": self.policy.max_batch,
                 "deadline_ms": self.policy.deadline_ms,

@@ -31,7 +31,9 @@ Design constraints:
 * **Graceful degradation.**  ``REPRO_CC=0`` (or ``off``/``false``/
   ``no``), a missing compiler, or a failed build all surface as
   ``build_conv_fires(...) -> None`` with the reason recorded — callers
-  keep the NumPy matcher and :func:`cc_info` reports why.
+  keep the NumPy matcher and :func:`cc_info` reports why.  A kernel that
+  builds but disagrees with the NumPy matcher on the engine's load-time
+  self-test is dropped the same way (:func:`record_unavailable`).
 * ctypes releases the GIL for the call, so thread executors overlap
   compute; the kernel itself is pure and re-entrant.
 """
@@ -53,6 +55,7 @@ __all__ = [
     "build_conv_fires",
     "cc_enabled",
     "cc_info",
+    "record_unavailable",
     "reset_cc",
 ]
 
@@ -113,6 +116,13 @@ def reset_cc() -> None:
         _libs.clear()
         _reasons.clear()
         _global_reason = None
+
+
+def record_unavailable(reason: str) -> None:
+    """Record why a built kernel is not used (the engine's load-time
+    self-test rejected it), for :func:`cc_info`."""
+    global _global_reason
+    _global_reason = reason
 
 
 def cc_info() -> dict:

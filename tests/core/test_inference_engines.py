@@ -7,10 +7,15 @@ position counts that are not a multiple of 64, batch-norm-folded
 thresholds with channel flips, and tile sizes that force the conv stage
 through multiple chunks.  A naive Python loop pins the sliding-window
 convolution so a future stride/transpose mistake cannot hide behind
-"both paths use the same helper".
+"both paths use the same helper".  The config-space property test also
+holds the fused engine, with and without its compiled conv kernel, to
+the same reference.
 """
 
+import os
+import shutil
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +35,11 @@ SMALL = UniVSAConfig(
 # (6, 10) -> 60 positions; (13, 5) -> 65 positions (pad bits in the
 # encode/similarity words); (4, 16) -> 64 positions (exact word fit).
 SHAPES = [(6, 10), (13, 5), (4, 16)]
+
+
+def _cc_buildable() -> bool:
+    """Whether a C compiler is on PATH for the compiled conv kernel."""
+    return shutil.which("gcc") is not None or shutil.which("cc") is not None
 
 
 def _mask(shape):
@@ -195,25 +205,62 @@ class TestSlidingWindowRegression:
         )
 
 
-@settings(max_examples=15, deadline=None)
+def _tile_mb_for(artifacts, tile: int) -> float:
+    """A ``conv_tile_mb`` that makes the fused engine run ``tile``-sample
+    tiles: read its bytes per sample off the tile a 1 MB budget gives."""
+    per_sample_mb = 1.0 / BitPackedUniVSA(
+        artifacts, mode="fused", conv_tile_mb=1.0
+    )._fused_tile()
+    return (tile + 0.5) * per_sample_mb
+
+
+@settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_engine_equivalence_property(seed):
-    """Random configs and shapes: fast == legacy == integer reference."""
+    """Random configs, shapes, BN-folded thresholds with flips, batch
+    sizes and tile budgets: fast == fused (compiled conv and NumPy
+    matcher) == legacy == integer reference.  ``d_high`` up to 12 puts
+    two bytes in every tap, which the compiled kernel builds separately."""
     gen = np.random.default_rng(seed)
+    d_high = int(gen.integers(1, 13))
     config = UniVSAConfig(
-        d_high=int(gen.integers(2, 6)),
-        d_low=1,
-        kernel_size=3,
+        d_high=d_high,
+        d_low=int(gen.integers(1, d_high + 1)),
+        kernel_size=int(gen.choice([1, 3, 5])),
         out_channels=int(gen.integers(2, 10)),
         voters=int(gen.integers(1, 3)),
         levels=8,
+        use_batchnorm=bool(gen.integers(0, 2)),
     )
     shape = (int(gen.integers(3, 9)), int(gen.integers(3, 9)))
     mask = gen.integers(0, 2, size=shape).astype(np.int8)
     model = UniVSAModel(shape, 2, config, mask=mask, seed=seed % 1000)
+    if config.use_batchnorm:
+        model.train()
+        for _ in range(3):
+            model(Tensor(model.preprocess(gen.integers(0, 8, size=(9,) + shape))))
+        model.eval()
+        # Negative gammas flip channels; beta moves the folded thresholds.
+        o = config.out_channels
+        model.conv_bn.gamma.data[:] = gen.choice([-1.0, 1.0], o) * gen.uniform(0.2, 2.0, o)
+        model.conv_bn.beta.data[:] = gen.normal(0.0, 1.0, o)
     artifacts = extract_artifacts(model)
-    levels = gen.integers(0, 8, size=(4,) + shape)
+    n = int(gen.integers(1, 10))
+    levels = gen.integers(0, 8, size=(n,) + shape)
+    tile = int(gen.integers(1, max(2, n)))
+    tile_mb = _tile_mb_for(artifacts, tile)
     expected = artifacts.scores(levels)
     for mode in ("fast", "legacy"):
-        engine = BitPackedUniVSA(artifacts, mode=mode)
-        np.testing.assert_array_equal(engine.scores(levels), expected)
+        engine = BitPackedUniVSA(artifacts, mode=mode, conv_tile_mb=tile_mb)
+        np.testing.assert_array_equal(engine.scores(levels), expected, err_msg=mode)
+    for cc in ("1", "0"):
+        with mock.patch.dict(os.environ, {"REPRO_CC": cc}):
+            fused = BitPackedUniVSA(artifacts, mode="fused", conv_tile_mb=tile_mb)
+        assert fused._fused_tile() == tile
+        if cc == "0":
+            assert fused.conv_backend == "numpy"
+        else:
+            assert fused.conv_backend == "cc" or not _cc_buildable()
+        np.testing.assert_array_equal(
+            fused.scores(levels), expected, err_msg=f"fused REPRO_CC={cc}"
+        )

@@ -78,6 +78,25 @@ class TestParser:
         assert args.slo_p99_ms == pytest.approx(20.0)
         assert args.slo_availability == pytest.approx(0.99)
 
+    @pytest.mark.parametrize("command", ["serve", "serve-bench"])
+    def test_serve_policy_reads_env_and_flags_win(self, command, monkeypatch):
+        from repro.cli import _serve_policy
+        from repro.runtime import ServePolicy
+
+        argv = [command] if command == "serve" else [command, "bci-iii-v"]
+        assert _serve_policy(build_parser().parse_args(argv)) == ServePolicy()
+        monkeypatch.setenv("REPRO_SERVE_BATCH", "8")
+        monkeypatch.setenv("REPRO_SERVE_DEADLINE_MS", "20")
+        monkeypatch.setenv("REPRO_SERVE_QUEUE", "32")
+        monkeypatch.setenv("REPRO_SERVE_INFLIGHT", "3")
+        assert _serve_policy(build_parser().parse_args(argv)) == ServePolicy(
+            max_batch=8, deadline_ms=20.0, max_queue=32, max_inflight=3
+        )
+        flags = ["--max-batch", "4", "--deadline-ms", "9", "--max-queue", "16"]
+        assert _serve_policy(build_parser().parse_args(argv + flags)) == ServePolicy(
+            max_batch=4, deadline_ms=9.0, max_queue=16, max_inflight=3
+        )
+
     def test_serve_integrity_and_net_flags(self):
         args = build_parser().parse_args(
             [
@@ -539,10 +558,53 @@ class TestTop:
             }
         )
         assert "queue depth" in frame and "3" in frame
+        assert "engine" in frame and "? / ?" in frame  # an older daemon
         assert "p99<=50 ms @ 0.999" in frame
         assert "0.800" in frame
         assert "serve.latency" in frame
         assert "ignored.stage" not in frame
+
+
+class TestServeDaemon:
+    @pytest.mark.parametrize("cc", ["1", "0"])
+    def test_banner_names_the_engine_and_keeps_its_prefix(self, cc, tmp_path):
+        """``repro serve`` answers with the fused engine and says so in the
+        banner, after the ``serving NAME on HOST:PORT (`` prefix that
+        clients parse for the port."""
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.core import UniVSAConfig, UniVSAModel, extract_artifacts
+
+        config = UniVSAConfig(
+            d_high=4, d_low=2, kernel_size=3, out_channels=6, voters=2, levels=8
+        )
+        model = extract_artifacts(UniVSAModel((5, 8), 3, config, seed=0)).save(
+            tmp_path / "model.npz"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "REPRO_CC": cc}
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--model", str(model),
+             "--port", "0", "--no-ledger"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=env,
+        )
+        try:
+            banner = daemon.stdout.readline().decode()
+        finally:
+            daemon.send_signal(signal.SIGINT)
+            daemon.communicate(timeout=30)
+        assert re.match(r"serving \S+ on (\S+):(\d+) \(", banner), banner
+        if cc == "0":
+            assert "(engine fused/numpy, batch<=64," in banner, banner
+        else:
+            assert re.search(r"\(engine fused/(cc|numpy), batch<=64,", banner), banner
 
 
 class TestObsCompareBudgetGate:

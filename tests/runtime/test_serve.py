@@ -203,13 +203,17 @@ class TestAdmissionControl:
         async def scenario():
             policy = ServePolicy(max_batch=1, deadline_ms=5000.0, max_queue=2)
             async with MicroBatchServer(runner, policy) as server:
-                first = asyncio.ensure_future(server.submit(np.zeros(SHAPE)))
-                # let the flusher take the first request into the (blocked)
-                # executor, emptying the queue
+                # a two-request burst takes both (blocked) pipeline slots,
+                # emptying the queue
+                first = [
+                    asyncio.ensure_future(server.submit(np.zeros(SHAPE)))
+                    for _ in range(2)
+                ]
                 for _ in range(50):
                     await asyncio.sleep(0.002)
-                    if runner.batch_sizes:
+                    if len(runner.batch_sizes) == 2:
                         break
+                assert server.inflight_batches == 2 and server.queue_depth == 0
                 backlog = [
                     asyncio.ensure_future(server.submit(np.zeros(SHAPE)))
                     for _ in range(2)
@@ -218,7 +222,7 @@ class TestAdmissionControl:
                 assert server.queue_depth == 2
                 shed = await server.submit(np.zeros(SHAPE))
                 block.set()
-                answered = await asyncio.gather(first, *backlog)
+                answered = await asyncio.gather(*first, *backlog)
                 return answered, shed
 
         with using_registry(registry):
@@ -227,11 +231,11 @@ class TestAdmissionControl:
         assert shed.reason == "queue-full"
         assert shed.label == QUARANTINED_LABEL and shed.scores is None
         assert shed.latency_s == 0.0
-        assert [r.status for r in answered] == ["ok"] * 3
-        assert registry.counter("serve.requests").value == 4
-        assert registry.counter("serve.accepted").value == 3
+        assert [r.status for r in answered] == ["ok"] * 4
+        assert registry.counter("serve.requests").value == 5
+        assert registry.counter("serve.accepted").value == 4
         assert registry.counter("serve.rejected").value == 1
-        assert registry.counter("serve.answered").value == 3
+        assert registry.counter("serve.answered").value == 4
 
     def test_draining_server_sheds_new_arrivals(self):
         runner = _ScriptedRunner()
@@ -462,6 +466,47 @@ class TestAdminPlane:
         assert snap["counters"]["serve.answered"] == 2
         assert "serve.latency" in snap["stages"]
         assert 0.0 <= snap["slo"]["budget_remaining"] <= 1.0
+
+    @pytest.mark.parametrize("cc", ["default", "off"])
+    def test_engine_block_names_mode_and_conv_backend(self, cc, monkeypatch):
+        """The snapshot and ``repro top`` say which engine answers: the
+        compiled conv by default, the NumPy matcher with its reason when
+        ``REPRO_CC=0`` turns it off."""
+        from repro.cli import _render_top
+        from repro.vsa.kernels_cc import reset_cc
+
+        if cc == "off":
+            monkeypatch.setenv("REPRO_CC", "0")
+        reset_cc()
+        served = BitPackedUniVSA(
+            extract_artifacts(UniVSAModel(SHAPE, 3, CONFIG, seed=0)), mode="fused"
+        )
+        reset_cc()
+        if cc == "default" and served.conv_backend != "cc":
+            pytest.skip(f"no compiled conv here: {served.conv_unavailable_reason}")
+
+        async def scenario():
+            with ResilientBatchRunner(served, policy=FAST, workers=1) as runner:
+                async with MicroBatchServer(runner, ServePolicy()) as server:
+                    await server.submit(_samples(1, seed=40)[0])
+                    return server.admin_snapshot()
+
+        with using_registry(MetricsRegistry()):
+            snap = asyncio.run(scenario())
+        frame = _render_top(snap)
+        if cc == "default":
+            assert snap["engine"] == {
+                "mode": "fused",
+                "conv_backend": "cc",
+                "cc_conv_unavailable_reason": None,
+            }
+            assert "fused / cc" in frame
+        else:
+            assert snap["engine"]["mode"] == "fused"
+            assert snap["engine"]["conv_backend"] == "numpy"
+            reason = snap["engine"]["cc_conv_unavailable_reason"]
+            assert "REPRO_CC" in reason
+            assert f"fused / numpy ({reason})" in frame
 
     def test_metrics_and_health_ops_over_tcp(self, engine):
         """The NDJSON front end answers admin ops inline — including the
@@ -1015,12 +1060,13 @@ class TestPipelinedServing:
                     task.add_done_callback(lambda _t: order.append(i))
                     return task
 
-                # one lone request per slot, each dispatched on arrival
-                held = [submit(0)]
+                # a two-request burst takes one slot; a lone arrival
+                # behind it takes the other
+                held = [submit(0), submit(1)]
                 await until(lambda: len(runner.batch_sizes) == 1)
-                held.append(submit(1))
+                held.append(submit(2))
                 await until(lambda: len(runner.batch_sizes) == 2)
-                queued = [submit(2 + i) for i in range(k)]
+                queued = [submit(3 + i) for i in range(k)]
                 await until(lambda: server.queue_depth == k)
                 await asyncio.sleep(0.05)
                 assert len(runner.batch_sizes) == 2, "dispatched past the cap"
@@ -1031,12 +1077,13 @@ class TestPipelinedServing:
             responses = asyncio.run(scenario())
         first = min(k, 4)
         assert [r.batch_size for r in responses] == (
-            [1, 1] + [first] * first + [k - first] * (k - first)
+            [2, 2, 1] + [first] * first + [k - first] * (k - first)
         )
         assert all(r.ok for r in responses)
-        assert order == list(range(2 + k))
+        assert order == list(range(3 + k))
         assert registry.counter("serve.flush.full").value == (1 if k >= 4 else 0)
         assert registry.counter("serve.flush.partial").value == 3
+        assert registry.counter("serve.pipeline.inline").value == 0
 
     def test_scrub_waits_for_pipeline_barrier(self):
         runner = _GatedRunner()
@@ -1056,27 +1103,35 @@ class TestPipelinedServing:
                 scrubber=_FakeScrubber(),
                 scrub_interval_s=0,
             ) as server:
-                submit = asyncio.ensure_future(server.submit(_samples(1)[0]))
+                # a two-request burst occupies both slots
+                submits = [
+                    asyncio.ensure_future(server.submit(_samples(1, seed=i)[0]))
+                    for i in range(2)
+                ]
                 for _ in range(200):
-                    if runner.started:
+                    if len(runner.started) == 2:
                         break
                     await asyncio.sleep(0.01)
                 scrub = asyncio.ensure_future(server.scrub())
                 await asyncio.sleep(0.05)
-                # batch 0 still executing: the scrub must be parked at
-                # the barrier, not running
+                # both batches still executing: the scrub must be parked
+                # at the barrier, not running
                 assert not scrub.done() and events == []
                 runner.gates[0].set()
+                await asyncio.sleep(0.05)
+                # batch 1 still executing: still parked
+                assert not scrub.done() and events == []
+                runner.gates[1].set()
                 report = await scrub
                 events.append("released")
                 # dispatch reopens after the barrier: serving continues
-                runner.gates[1].set()
+                runner.gates[2].set()
                 follow_up = await server.submit(_samples(1, seed=9)[0])
-                return (await submit), report, follow_up
+                return await asyncio.gather(*submits), report, follow_up
 
         with using_registry(registry):
-            first, report, follow_up = asyncio.run(scenario())
-        assert first.ok and follow_up.ok
+            firsts, report, follow_up = asyncio.run(scenario())
+        assert all(r.ok for r in firsts) and follow_up.ok
         assert report == "scrubbed"
         assert events == ["scrub", "released"]
         assert registry.counter("serve.pipeline.barriers").value == 1
@@ -1094,3 +1149,170 @@ class TestPipelinedServing:
 
         with using_registry(MetricsRegistry()):
             assert asyncio.run(scenario()) == 1
+
+
+class _ThreadRecordingEngine(BitPackedUniVSA):
+    """The daemon's fused engine, noting which thread runs each call."""
+
+    def scores(self, levels):
+        self.threads.append(threading.current_thread())
+        return super().scores(levels)
+
+
+class _BrokenEngine(BitPackedUniVSA):
+    """A fused engine whose every call raises: the runner's ladder must
+    retry it, then fall back to the legacy sibling."""
+
+    def scores(self, levels):
+        self.threads.append(threading.current_thread())
+        raise RuntimeError("engine on fire")
+
+
+def _recording(cls, mode="fused"):
+    engine = cls(extract_artifacts(UniVSAModel(SHAPE, 3, CONFIG, seed=0)), mode=mode)
+    engine.threads = []
+    return engine
+
+
+class TestInlineServing:
+    """A lone request on an idle pipeline is answered on the event loop;
+    everything else still goes through the slots."""
+
+    def test_lone_request_never_touches_the_serve_executor(self, engine):
+        served = _recording(_ThreadRecordingEngine)
+        sample = _samples(1, seed=20)[0]
+        expected = engine.scores(sample[None])[0]
+        registry = MetricsRegistry()
+
+        async def scenario():
+            with ResilientBatchRunner(served, policy=FAST, workers=1) as runner:
+                async with MicroBatchServer(runner, ServePolicy()) as server:
+                    responses = [await server.submit(sample) for _ in range(3)]
+                    return responses, threading.current_thread()
+
+        with using_registry(registry):
+            responses, loop_thread = asyncio.run(scenario())
+        assert served.threads == [loop_thread] * 3
+        for response in responses:
+            assert response.ok and response.batch_size == 1
+            np.testing.assert_array_equal(response.scores, expected)
+        assert registry.counter("serve.pipeline.inline").value == 3
+        assert registry.counter("serve.pipeline.dispatched").value == 0
+        assert registry.counter("serve.batches").value == 3
+        assert registry.histogram("serve.batch").count == 3
+
+    def test_lone_arrival_behind_an_inflight_batch_takes_a_slot_fifo(self):
+        runner = _GatedRunner()
+        registry = MetricsRegistry()
+        order = []
+
+        async def scenario():
+            policy = ServePolicy(max_batch=2, deadline_ms=5000.0, max_inflight=2)
+            async with MicroBatchServer(runner, policy) as server:
+
+                def submit(i):
+                    task = asyncio.ensure_future(server.submit(_samples(1, seed=i)[0]))
+                    task.add_done_callback(lambda _t: order.append(i))
+                    return task
+
+                burst = [submit(0), submit(1)]
+                for _ in range(200):
+                    if len(runner.started) == 1:
+                        break
+                    await asyncio.sleep(0.01)
+                lone = submit(2)
+                for _ in range(200):
+                    if len(runner.started) == 2:
+                        break
+                    await asyncio.sleep(0.01)
+                assert runner.started == [2, 1], "the lone arrival never got a slot"
+                assert server.inflight_batches == 2
+                # the lone batch finishes first but must answer second
+                runner.gates[1].set()
+                await asyncio.sleep(0.05)
+                assert not lone.done(), "lone batch fanned out before its predecessor"
+                runner.gates[0].set()
+                return await asyncio.gather(*burst, lone)
+
+        with using_registry(registry):
+            responses = asyncio.run(scenario())
+        assert order == [0, 1, 2]
+        assert [r.label for r in responses] == [0, 0, 1]
+        assert runner.concurrent_max == 2
+        assert registry.counter("serve.pipeline.dispatched").value == 2
+        assert registry.counter("serve.pipeline.inline").value == 0
+
+    def test_failing_lone_request_runs_the_ladder_inline_and_serving_goes_on(
+        self, engine
+    ):
+        broken = _recording(_BrokenEngine)
+        samples = _samples(2, seed=21)
+        expected = engine.scores(samples)
+        registry = MetricsRegistry()
+
+        async def scenario():
+            with ResilientBatchRunner(broken, policy=FAST, workers=1) as runner:
+                async with MicroBatchServer(runner, ServePolicy()) as server:
+                    first = await server.submit(samples[0])
+                    second = await server.submit(samples[1])
+                    return first, second, threading.current_thread()
+
+        with using_registry(registry):
+            first, second, loop_thread = asyncio.run(scenario())
+        # every attempt of both requests ran on the loop: 1 + max_retries each
+        assert broken.threads == [loop_thread] * (2 * (1 + FAST.max_retries))
+        for response, scores in zip((first, second), expected):
+            assert response.ok
+            np.testing.assert_array_equal(response.scores, scores)
+        assert registry.counter("resilience.retries").value == 2 * FAST.max_retries
+        assert registry.counter("resilience.fallbacks").value == 2
+        assert registry.counter("serve.pipeline.inline").value == 2
+
+    def test_corrupt_chaos_ordinals_are_reproducible_across_paths(self, monkeypatch):
+        """Inline and slot batches draw corrupt-chaos ordinals from one
+        counter in execution order, so serving corrupts exactly what an
+        offline replay of those ordinals corrupts."""
+        import repro.runtime.serve as serve_module
+
+        spec = ChaosSpec(corrupt_rate=1.0, seed=5)
+        seen = []
+        real = serve_module.maybe_corrupt_resident
+
+        def recording(engine, chaos, ordinal):
+            applied = real(engine, chaos, ordinal)
+            on_slot = threading.current_thread().name.startswith("repro-serve")
+            seen.append((ordinal, on_slot, applied))
+            return applied
+
+        monkeypatch.setattr(serve_module, "maybe_corrupt_resident", recording)
+        served = BitPackedUniVSA(
+            extract_artifacts(UniVSAModel(SHAPE, 3, CONFIG, seed=0)), mode="fused"
+        )
+        registry = MetricsRegistry()
+
+        async def scenario():
+            policy = ServePolicy(max_batch=1, deadline_ms=5000.0)
+            with ResilientBatchRunner(
+                served, policy=FAST, workers=1, chaos=spec
+            ) as runner:
+                async with MicroBatchServer(runner, policy) as server:
+                    await server.submit(_samples(1, seed=30)[0])
+                    await server.submit_many(_samples(3, seed=31))
+                    await server.submit(_samples(1, seed=32)[0])
+
+        with using_registry(registry):
+            asyncio.run(scenario())
+        assert [ordinal for ordinal, _, _ in seen] == [0, 1, 2, 3, 4]
+        # corrupt chaos pins one slot: the burst's last request finds the
+        # pipeline idle and runs inline like the lone requests around it
+        assert [on_slot for _, on_slot, _ in seen] == [False, True, True, False, False]
+        assert registry.counter("serve.pipeline.inline").value == 3
+        assert registry.counter("serve.pipeline.dispatched").value == 2
+        replay = BitPackedUniVSA(
+            extract_artifacts(UniVSAModel(SHAPE, 3, CONFIG, seed=0)), mode="fused"
+        )
+        assert [real(replay, spec, i) for i in range(5)] == [a for _, _, a in seen]
+        for name, array in served.resident_operands().items():
+            np.testing.assert_array_equal(
+                array, replay.resident_operands()[name], err_msg=name
+            )

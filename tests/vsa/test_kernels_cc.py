@@ -123,6 +123,45 @@ class TestGating:
         assert fires is None
         assert "mismatch" in (cc_info()["cc_conv_unavailable_reason"] or "")
 
+    def test_self_test_rejects_a_kernel_with_wrong_fires(self, artifacts, monkeypatch):
+        """A compiled kernel that builds but computes wrong fires is
+        caught by the engine's bind-time self-test: the engine keeps the
+        NumPy matcher, the reason names the self-test, and the scores
+        stay bit-exact with the legacy oracle."""
+        built = []
+
+        def broken_build(*args):
+            fires_fn = build_conv_fires(*args)
+            if fires_fn is None:
+                pytest.skip(
+                    "compiled conv backend unavailable: "
+                    f"{cc_info()['cc_conv_unavailable_reason']}"
+                )
+
+            def wrong_fires(padded):
+                fires = fires_fn(padded)
+                fires[0, 0, 0] ^= 1  # one flipped fire is enough
+                return fires
+
+            built.append(wrong_fires)
+            return wrong_fires
+
+        monkeypatch.setattr(kernels_cc, "build_conv_fires", broken_build)
+        engine = BitPackedUniVSA(artifacts, mode="fused")
+        assert built, "the engine never asked for a compiled kernel"
+        assert engine.conv_backend == "numpy"
+        reason = cc_info()["cc_conv_unavailable_reason"]
+        assert reason is not None and "self-test" in reason
+        assert engine.conv_unavailable_reason == reason
+        levels = _levels(9, seed=11)
+        legacy = BitPackedUniVSA(artifacts, mode="legacy")
+        np.testing.assert_array_equal(engine.scores(levels), legacy.scores(levels))
+
+    def test_self_test_passes_the_real_kernel(self, artifacts):
+        engine = _cc_engine(artifacts)
+        assert engine.conv_unavailable_reason is None
+        assert cc_info()["cc_conv_unavailable_reason"] is None
+
     def test_kernel_info_surfaces_cc_fields(self):
         from repro.vsa.kernels import kernel_info
 
