@@ -1,6 +1,6 @@
 """Command-line interface: train / evaluate / hw / search / profile /
 trace / bench-throughput / serve / serve-bench / top / chaos /
-fault-sweep / plan / obs / info.
+fault-sweep / obs / info.
 
     python -m repro info
     python -m repro train isolet --epochs 12 --out isolet.npz
@@ -15,7 +15,6 @@ fault-sweep / plan / obs / info.
     python -m repro serve-bench bci-iii-v --rates 1,5,15 --trace poisson
     python -m repro chaos bci-iii-v --spec raise:0.1,delay:5ms
     python -m repro fault-sweep bci-iii-v --fractions 0.001,0.01,0.1
-    python -m repro plan run bci-iii-v --batch 256
     python -m repro obs compare --task serve --baseline benchmarks/baselines/serve.json
     python -m repro obs export --task serve --format prom
 
@@ -337,7 +336,6 @@ def _cmd_bench_throughput(args: argparse.Namespace) -> int:
         epochs=args.epochs,
         seed=args.seed,
         shm=False if args.no_shm else None,
-        plan=args.plan,
     )
     print(report.render())
     json_path = args.json or f"{args.benchmark}-throughput.json"
@@ -1101,80 +1099,6 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_plan(args: argparse.Namespace) -> int:
-    """Run / show / clear the execution-planner calibration cache."""
-    import json
-
-    from repro.runtime.plan import (
-        DEFAULT_PLAN_CACHE,
-        ExecutionPlan,
-        calibrate,
-        clear_plan_cache,
-        load_plan_cache,
-        render_plan,
-        store_plan,
-    )
-
-    cache = getattr(args, "cache", None) or None
-    if args.plan_command == "show":
-        cache_map = load_plan_cache(cache)
-        if args.json:
-            print(json.dumps(cache_map, indent=2, sort_keys=True))
-            return 0
-        if not cache_map:
-            print(f"plan cache is empty ({cache or DEFAULT_PLAN_CACHE})")
-            return 0
-        for key in sorted(cache_map):
-            print(render_plan(ExecutionPlan.from_dict(cache_map[key])))
-            print()
-        return 0
-    if args.plan_command == "clear":
-        removed = clear_plan_cache(cache)
-        print(f"cleared {removed} plan(s) from {cache or DEFAULT_PLAN_CACHE}")
-        return 0
-
-    # plan run: train a small model, sweep the knobs, persist the winner.
-    from repro.core.inference import BitPackedUniVSA
-    from repro.core.pipeline import run_benchmark
-    from repro.data import get_benchmark
-    from repro.obs import MetricsRegistry, using_registry
-    from repro.utils.trainloop import TrainConfig
-
-    benchmark = get_benchmark(args.benchmark)
-    run = run_benchmark(
-        args.benchmark,
-        train_config=TrainConfig(
-            epochs=args.epochs,
-            lr=0.008,
-            seed=args.seed,
-            balance_classes=benchmark.spec.class_balance is not None,
-        ),
-        n_train=args.n_train,
-        n_test=args.n_test,
-        seed=args.seed,
-    )
-    engine = BitPackedUniVSA(run.artifacts, mode="fused")
-    with using_registry(MetricsRegistry()) as registry:
-        plan = calibrate(engine, batch=args.batch, repeats=args.repeats)
-    path = store_plan(plan, cache)
-    if args.json:
-        print(json.dumps(plan.as_dict(), indent=2, sort_keys=True))
-    else:
-        print(render_plan(plan))
-    print(f"\nplan {plan.key} stored in {path} (REPRO_PLAN=auto picks it up)")
-    # One task="plan" record per calibration keeps plan drift auditable
-    # across machines via `repro obs compare --task plan`.
-    _append_ledger(
-        args,
-        "plan",
-        "plan",
-        config=run.config,
-        metrics=plan.ledger_metrics(),
-        registry=registry,
-    )
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.reportgen import generate_report
 
@@ -1272,12 +1196,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--executor", choices=("thread", "process"), default="thread",
         help="worker pool kind (default thread)",
-    )
-    bench.add_argument(
-        "--plan", default=None,
-        help="execution planner: 'auto' (calibrate or reuse the cache), "
-        "'off', or a plan JSON path (default: REPRO_PLAN); when active a "
-        "sixth 'planned' stage runs the calibrated configuration",
     )
     bench.add_argument(
         "--no-shm", action="store_true",
@@ -1590,45 +1508,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     export.add_argument("--out", help="write to a file instead of stdout")
     export.set_defaults(func=_cmd_obs_export)
-
-    plan = sub.add_parser(
-        "plan",
-        help="execution planner: calibrate the datapath knobs (tile budget, "
-        "executor, pipeline depth) and manage the persisted plan cache",
-    )
-    plan_sub = plan.add_subparsers(dest="plan_command", required=True)
-    plan_run = plan_sub.add_parser(
-        "run",
-        help="train a small model, run the calibration sweep, store the "
-        "winning plan (REPRO_PLAN=auto consumes it)",
-    )
-    plan_run.add_argument("benchmark")
-    plan_run.add_argument("--batch", type=int, default=256, help="calibration batch size")
-    plan_run.add_argument("--repeats", type=int, default=2, help="timed runs per candidate")
-    plan_run.add_argument(
-        "--cache",
-        help="plan cache JSON path (default benchmarks/results/plan_cache.json)",
-    )
-    plan_run.add_argument("--json", action="store_true", help="print the plan as JSON")
-    plan_run.add_argument("--n-train", type=int, default=120)
-    plan_run.add_argument("--n-test", type=int, default=60)
-    plan_run.add_argument("--epochs", type=int, default=2)
-    plan_run.add_argument("--seed", type=int, default=0)
-    _add_ledger_flags(plan_run)
-    plan_run.set_defaults(func=_cmd_plan)
-    plan_show = plan_sub.add_parser("show", help="print the cached plan(s)")
-    plan_show.add_argument(
-        "--cache",
-        help="plan cache JSON path (default benchmarks/results/plan_cache.json)",
-    )
-    plan_show.add_argument("--json", action="store_true", help="dump the raw cache JSON")
-    plan_show.set_defaults(func=_cmd_plan)
-    plan_clear = plan_sub.add_parser("clear", help="delete the plan cache")
-    plan_clear.add_argument(
-        "--cache",
-        help="plan cache JSON path (default benchmarks/results/plan_cache.json)",
-    )
-    plan_clear.set_defaults(func=_cmd_plan)
 
     report = sub.add_parser(
         "report", help="assemble benchmarks/results into one markdown report"

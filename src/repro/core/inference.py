@@ -109,6 +109,24 @@ def _resolve_conv_tile_mb(value, mode: str) -> float:
     return budget
 
 
+def _bounded_thresholds(thresholds: np.ndarray, n_bits: int) -> np.ndarray:
+    """Folded conv thresholds, clamped to ``[-(n+1), n+1]``.
+
+    A BN channel with ``gamma == 0`` folds to a ±inf threshold (see
+    ``fold_thresholds`` in :mod:`repro.nn.layers`): the channel always or
+    never fires.  The accumulation over ``n = C*K*K`` bits lies in
+    ``[-n, n]``, so ±(n+1) keeps that meaning in every mode while the
+    fast and fused integer windows stay finite.  A NaN threshold has no
+    meaning and raises, naming its channels.
+    """
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    bad = np.flatnonzero(np.isnan(thresholds))
+    if bad.size:
+        raise ValueError(f"conv_thresholds is NaN on channel(s) {bad.tolist()}")
+    bound = float(n_bits + 1)
+    return np.clip(thresholds, -bound, bound)
+
+
 def _pack_bytes(vectors: np.ndarray) -> np.ndarray:
     """Bipolar/boolean (..., D) -> bytes (..., ceil(D/8)), little bit order."""
     return np.packbits(np.asarray(vectors) > 0, axis=-1, bitorder="little")
@@ -173,7 +191,9 @@ class BitPackedUniVSA:
             self._kernel_packed, self._conv_bits = pack_bipolar(
                 artifacts.kernel.reshape(o, -1)
             )
-            self._thresholds = artifacts.conv_thresholds
+            self._thresholds = _bounded_thresholds(
+                artifacts.conv_thresholds, self._conv_bits
+            )
             self._flips = artifacts.conv_flips
         else:
             self._kernel_packed = None

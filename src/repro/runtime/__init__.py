@@ -11,7 +11,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".stream": ("StreamingClassifier", "StreamingDecision"),
-        ".batch": ("BatchRunner", "WorkerPool", "resolve_workers"),
+        ".batch": ("WorkerPool", "resolve_workers"),
         ".throughput": ("EngineSample", "ThroughputReport", "bench_throughput"),
         ".resilience": (
             "RetryPolicy",
@@ -24,16 +24,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "serving_predict_fn",
         ),
         ".chaos": ("ChaosSpec", "ChaosError", "chaos_context", "chaos_kernels", "parse_chaos"),
-        # execution planner
-        ".plan": (
-            "ExecutionPlan",
-            "calibrate",
-            "clear_plan_cache",
-            "load_plan_cache",
-            "plan_key",
-            "resolve_plan",
-            "store_plan",
-        ),
         # shared-memory handoff
         ".shm": ("SharedArray", "attach_view", "leaked_segments", "resolve_shm"),
         # artifact integrity / self-healing

@@ -1,82 +1,19 @@
-"""Parallel batch execution over the packed inference engine.
+"""Worker-pool primitives shared by the batch runner and the search engine.
 
-:class:`BatchRunner` shards a large batch of quantized level frames
-across a worker pool and runs :class:`repro.core.BitPackedUniVSA` on
-each shard, preserving input order in the assembled output.  Threads are
-the default — the bit kernels are NumPy ufunc loops that release the GIL,
-so shards genuinely overlap — with a process-pool option for workloads
-that want memory isolation.
-
-Process mode is zero-copy in **both** directions by default
-(``shm=None`` → ``REPRO_SHM``, see :func:`repro.runtime.shm.resolve_shm`):
-
-* the **request plane** materializes the batch's level array in one
-  parent-owned segment per call (reused across same-shape batches via a
-  :class:`~repro.runtime.shm.SegmentArena`); workers attach zero-copy
-  views by name + span;
-* the **result plane** is a parent-allocated ``(B, n_classes)`` segment
-  workers *write* at their span offset — the return leg of the pipe
-  carries ``(span, wall, telemetry_delta)`` instead of a pickled score
-  array (``batch.bytes_pickled_return`` stays 0 in shm mode; the
-  non-shm path counts every returned array there);
-* the **operand plane** (``REPRO_OPERAND_PLANE``, default on) serializes
-  the engine's resident read-only operands into one parent-owned segment
-  at pool spin-up; worker initializers attach and reconstruct zero-copy
-  views (:meth:`BitPackedUniVSA.from_operand_state`) instead of
-  rebuilding the engine from pickled artifacts, and
-  :meth:`BatchRunner.replace_engine` repairs become a re-publish plus a
-  generation bump that workers detect per shard — no pool rebuild.
-
-Segments are disposed (or arena-pooled) in a ``finally`` — their
-lifetime is exactly the batch's — and ``batch.shm.{segments,
-bytes_shared,reused,plane_bytes}`` / worker-side ``batch.shm.attach``
-counters account for the handoff (vs ``batch.bytes_pickled`` /
-``batch.bytes_pickled_return`` on the non-shm path).
-
-Observability rides on the existing substrate:
-
-* every shard runs under ``stage_timer("batch.shard")``, so with a
-  tracer active each shard becomes a span tree rooted at ``batch.shard``
-  with the usual ``packed.classify`` subtree below it (thread mode; a
-  process worker's spans live in its own process, so process mode
-  observes shard wall time from the parent instead);
-* ``batch.samples`` / ``batch.shards`` counters and a ``batch.workers``
-  gauge record what the pool actually did;
-* a ``batch.run`` trace root around the whole call is annotated with
-  batch size, shard count, and worker count.
-
-``python -m repro bench-throughput`` builds on this runner to measure
-samples/sec (see :mod:`repro.runtime.throughput`).
+:func:`resolve_workers` turns an explicit count, ``REPRO_WORKERS`` or the
+CPU count into a pool size, and :class:`WorkerPool` owns one lazily built
+executor with crash replacement.  The batch runner
+(:class:`repro.runtime.resilience.ResilientBatchRunner`) and the co-design
+search engine (:mod:`repro.search.engine`) both build their pools on it.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from time import perf_counter
+from concurrent.futures import Executor
 
-import numpy as np
-
-from repro.obs import annotate_span, get_registry, stage_timer, trace_span
-from repro.obs.telemetry import (
-    drain_pool,
-    drain_worker_delta,
-    install_worker_telemetry,
-    merge_delta,
-    worker_telemetry_installed,
-)
-
-from .shm import (
-    OperandPlane,
-    SegmentArena,
-    SharedArray,
-    attach_plane,
-    attach_view,
-    resolve_shm,
-)
-
-__all__ = ["BatchRunner", "WorkerPool", "resolve_operand_plane", "resolve_workers"]
+__all__ = ["WorkerPool", "resolve_workers"]
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -92,143 +29,6 @@ def resolve_workers(workers: int | None = None) -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def resolve_operand_plane(executor_kind: str) -> bool:
-    """Whether process workers bootstrap from a shared operand plane.
-
-    ``REPRO_OPERAND_PLANE`` (default on) — only meaningful for process
-    executors; threads share the parent's engine object already.
-    """
-    if executor_kind != "process":
-        return False
-    env = os.environ.get("REPRO_OPERAND_PLANE", "1").strip().lower()
-    return env not in ("0", "false", "no", "off")
-
-
-def _active_plan(engine):
-    """The cached execution plan for *engine*, or None.
-
-    Swallows every resolution error: a stale or malformed plan file
-    must degrade to "no plan" rather than break runner construction.
-    """
-    if not (os.environ.get("REPRO_PLAN") or "").strip():
-        return None
-    from repro.runtime.plan import cached_plan_for
-
-    try:
-        return cached_plan_for(engine)
-    except (OSError, ValueError, TypeError, KeyError):
-        return None
-
-
-# ---------------------------------------------------------------------------
-# process-pool plumbing (module level so spawn contexts can pickle it)
-# ---------------------------------------------------------------------------
-_WORKER_ENGINE = None
-_WORKER_PLANE_KEY: tuple | None = None
-
-
-def _attach_plane_engine(plane_descriptor: tuple):
-    """Reconstruct an engine over zero-copy views of an operand plane.
-
-    Shared by this module's workers and the resilient runner's (each
-    keeps its own module-global engine slot).  The counter is gated on
-    the initializer telemetry flag so observability-off pools never
-    touch a registry.
-    """
-    from repro.core.inference import BitPackedUniVSA
-
-    arrays, meta = attach_plane(plane_descriptor)
-    engine = BitPackedUniVSA.from_operand_state(arrays, meta)
-    if worker_telemetry_installed():
-        get_registry().counter("batch.shm.plane_attach").add(1)
-    return engine
-
-
-def _worker_attach_engine(plane_descriptor: tuple) -> None:
-    """(Re)build the worker engine from an operand plane descriptor."""
-    global _WORKER_ENGINE, _WORKER_PLANE_KEY
-    _WORKER_ENGINE = _attach_plane_engine(plane_descriptor)
-    _WORKER_PLANE_KEY = tuple(plane_descriptor)
-
-
-def _ensure_worker_engine(plane_descriptor: tuple | None) -> None:
-    """Detect a generation bump: re-attach when the descriptor changed."""
-    if plane_descriptor is None:
-        return
-    if tuple(plane_descriptor) != _WORKER_PLANE_KEY:
-        _worker_attach_engine(plane_descriptor)
-
-
-def _process_worker_init(source, telemetry: bool = False) -> None:
-    """Pool initializer.
-
-    ``source`` is ``("plane", descriptor)`` — attach the parent-owned
-    operand plane and reconstruct zero-copy views — or
-    ``("artifacts", (artifacts, mode, conv_tile_mb))`` — the pickled
-    fallback that rebuilds the engine from scratch.
-    """
-    global _WORKER_ENGINE, _WORKER_PLANE_KEY
-    kind, payload = source
-    if kind == "plane":
-        _worker_attach_engine(payload)
-    else:
-        from repro.core.inference import BitPackedUniVSA
-
-        artifacts, mode, conv_tile_mb = payload
-        _WORKER_ENGINE = BitPackedUniVSA(
-            artifacts, mode=mode, conv_tile_mb=conv_tile_mb
-        )
-        _WORKER_PLANE_KEY = None
-    # Telemetry installs *after* engine construction so one-time init
-    # work stays out of the harvested deltas — merged process-run totals
-    # must match what a serial run records.
-    install_worker_telemetry(telemetry)
-    if worker_telemetry_installed():
-        from repro.vsa.kernels import publish_kernel_metrics
-
-        publish_kernel_metrics(get_registry())
-
-
-def _process_worker_scores(levels: np.ndarray) -> tuple[np.ndarray, float, dict | None]:
-    start = perf_counter()
-    scores = _WORKER_ENGINE.scores(levels)
-    return scores, perf_counter() - start, drain_worker_delta()
-
-
-def _process_worker_scores_shm(
-    descriptor: tuple,
-    span_start: int,
-    span_stop: int,
-    out_descriptor: tuple | None = None,
-    plane: tuple | None = None,
-) -> tuple[object, float, dict | None]:
-    """Shm variant: attach the parent's segment, score a zero-copy slice.
-
-    With an ``out_descriptor`` the scores are written in place at the
-    span offset of the parent's result plane and only the span itself is
-    returned — nothing array-shaped crosses the pipe in either
-    direction.  ``plane`` carries the operand-plane descriptor so a
-    generation bump (``replace_engine`` repair) is detected per shard.
-
-    Worker-side counters are gated on the initializer telemetry flag —
-    with telemetry off this path, like the by-value one, must not touch
-    any registry (the fork-inherited parent registry included).
-    """
-    start = perf_counter()
-    _ensure_worker_engine(plane)
-    levels = attach_view(descriptor, span_start, span_stop)
-    if worker_telemetry_installed():
-        get_registry().counter("batch.shm.attach").add(1)
-    scores = _WORKER_ENGINE.scores(levels)
-    if out_descriptor is not None:
-        out = attach_view(out_descriptor, span_start, span_stop, writable=True)
-        out[...] = scores
-        payload: object = (span_start, span_stop)
-    else:
-        payload = scores
-    return payload, perf_counter() - start, drain_worker_delta()
-
-
 class WorkerPool:
     """Lazily-built executor with crash replacement.
 
@@ -236,10 +36,10 @@ class WorkerPool:
     :class:`concurrent.futures.Executor`.  The executor is built on first
     :meth:`ensure`, discarded wholesale by :meth:`replace` (the recovery
     path after a crashed process worker poisons its pool — see
-    :meth:`BatchRunner._replace_pool`), and torn down by :meth:`close`.
-    Shared by :class:`BatchRunner` and the co-design search engine
-    (:mod:`repro.search.engine`), so both layers get the same pool
-    lifecycle and recovery semantics.
+    :meth:`ResilientBatchRunner._replace_pool`), and torn down by
+    :meth:`close`.  Shared by the batch runner and the co-design search
+    engine (:mod:`repro.search.engine`), so both layers get the same
+    pool lifecycle and recovery semantics.
 
     All lifecycle transitions are serialized by an internal lock:
     pipelined serving runs several batches concurrently through one
@@ -299,369 +99,3 @@ class WorkerPool:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-
-class BatchRunner:
-    """Order-preserving sharded execution of packed inference.
-
-    Parameters
-    ----------
-    engine:
-        A :class:`repro.core.BitPackedUniVSA` (any mode).
-    shard_size:
-        Samples per shard; ``None`` splits the batch into about
-        ``2 x workers`` shards (load balancing without tiny shards; a
-        single worker gets a single shard — splitting work one process
-        must run serially anyway only adds handoff overhead).
-    workers:
-        Pool size; ``None`` resolves via :func:`resolve_workers`.
-    executor:
-        ``"thread"`` (default) or ``"process"``.  Process mode bootstraps
-        each worker once via the pool initializer — from the shared
-        operand plane when enabled, else from pickled artifacts (with a
-        fork start method the packed tables are then shared
-        copy-on-write).
-    mp_context:
-        Optional ``multiprocessing`` context for process mode.
-    shm:
-        Zero-copy shard handoff through shared memory (process executors
-        only).  ``None`` defers to ``REPRO_SHM`` (default on); thread
-        executors ignore it entirely.
-    """
-
-    def __init__(
-        self,
-        engine,
-        shard_size: int | None = None,
-        workers: int | None = None,
-        executor: str = "thread",
-        mp_context=None,
-        shm: bool | None = None,
-    ) -> None:
-        if executor not in ("thread", "process"):
-            raise ValueError(
-                f"unknown executor {executor!r}; expected 'thread' or 'process'"
-            )
-        self.engine = engine
-        # A calibrated plan (REPRO_PLAN) fills in only the knobs the
-        # caller left unset — explicit arguments always win, so a plan
-        # can never silently override a deliberate configuration.
-        if shard_size is None and workers is None:
-            plan = _active_plan(engine)
-            if plan is not None and plan.executor == executor:
-                workers = plan.workers
-                shard_size = plan.shard_size
-                if shm is None and executor == "process":
-                    shm = plan.use_shm
-        self.workers = resolve_workers(workers)
-        self.shard_size = shard_size
-        self.executor_kind = executor
-        self.use_shm = resolve_shm(shm, executor)
-        self.use_plane = resolve_operand_plane(executor)
-        self._mp_context = mp_context
-        self._workerpool = WorkerPool(self._make_pool)
-        self._plane: OperandPlane | None = None
-        self._plane_generation = 0
-        self._arena = SegmentArena()
-
-    @property
-    def _pool(self) -> Executor | None:
-        return self._workerpool.executor
-
-    # ------------------------------------------------------------------
-    def effective_shard_size(self, n: int) -> int:
-        """The shard size a batch of ``n`` samples actually runs with.
-
-        Explicit ``shard_size`` wins; otherwise the batch splits into
-        about ``2 x workers`` shards.  The divisor is capped at ``n`` so
-        a degenerate batch (``n < workers``) yields ``n`` single-sample
-        shards instead of phantom empty ones.  A single-worker *thread*
-        runner gets one shard — inline execution is equivalent and there
-        is nobody to balance load against — but a single-worker process
-        runner keeps the 2-shard split: collapsing it to one shard would
-        take the inline shortcut and silently skip the pool, and with it
-        the isolation and zero-copy handoff the caller asked for.
-        """
-        if n <= 0:
-            return 0
-        size = self.shard_size
-        if size is None:
-            one_shard = self.workers == 1 and self.executor_kind == "thread"
-            target = 1 if one_shard else self.workers * 2
-            size = -(-n // max(1, min(target, n)))
-        return max(1, int(size))
-
-    def _shards(self, n: int) -> list[tuple[int, int]]:
-        """(start, stop) spans covering ``range(n)`` in order."""
-        size = self.effective_shard_size(n)
-        if size <= 0:
-            return []
-        return [(start, min(start + size, n)) for start in range(0, n, size)]
-
-    def _share_batch(self, levels: np.ndarray, registry) -> SharedArray:
-        """Materialize ``levels`` in a parent-owned shm segment (arena)."""
-        shared = self._arena.acquire(levels)
-        registry.counter("batch.shm.segments").add(1)
-        registry.counter("batch.shm.bytes_shared").add(shared.nbytes)
-        return shared
-
-    def _share_output(self, n: int, registry) -> SharedArray:
-        """The result plane: one ``(n, n_classes)`` segment per batch."""
-        n_classes = self.engine.artifacts.n_classes
-        out = self._arena.acquire_empty((n, n_classes), np.int64)
-        registry.counter("batch.shm.segments").add(1)
-        registry.counter("batch.shm.bytes_shared").add(out.nbytes)
-        return out
-
-    # ------------------------------------------------------------------
-    # operand plane lifecycle (parent-owned, generation-tagged)
-    # ------------------------------------------------------------------
-    def _publish_plane(self) -> OperandPlane:
-        """Publish the current engine's operands as a fresh plane."""
-        arrays, meta = self.engine.operand_state()
-        self._plane_generation += 1
-        plane = OperandPlane(arrays, meta, generation=self._plane_generation)
-        registry = get_registry()
-        registry.counter("batch.shm.plane_published").add(1)
-        registry.counter("batch.shm.plane_bytes").add(plane.nbytes)
-        registry.gauge("batch.shm.plane_generation").set(self._plane_generation)
-        return plane
-
-    def _ensure_plane(self) -> OperandPlane | None:
-        if not self.use_plane:
-            return None
-        if self._plane is None:
-            try:
-                self._plane = self._publish_plane()
-            except Exception:
-                # No shm plane on this platform — fall back to pickled
-                # artifacts for the life of this runner.
-                self.use_plane = False
-                return None
-        return self._plane
-
-    def _plane_descriptor(self) -> tuple | None:
-        return self._plane.descriptor() if self._plane is not None else None
-
-    def _pool_initializer(self):
-        """(initializer, initargs) for process pools; overridable seam.
-
-        The trailing initarg is the telemetry switch: workers install a
-        recording registry only when the parent registry is enabled at
-        pool-build time, so observability-off runs keep the
-        zero-overhead path end to end.  Re-evaluated whenever the pool
-        is (re)built, including crash replacement.
-        """
-        plane = self._ensure_plane()
-        if plane is not None:
-            source = ("plane", plane.descriptor())
-        else:
-            source = (
-                "artifacts",
-                (self.engine.artifacts, self.engine.mode, self.engine.conv_tile_mb),
-            )
-        return _process_worker_init, (source, get_registry().enabled)
-
-    def _make_pool(self) -> Executor:
-        """Build a fresh worker pool (also the rebuild path after a crash)."""
-        if self.executor_kind == "thread":
-            return ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-batch"
-            )
-        import multiprocessing as mp
-
-        context = self._mp_context
-        if context is None:
-            method = "fork" if "fork" in mp.get_all_start_methods() else None
-            context = mp.get_context(method)
-        initializer, initargs = self._pool_initializer()
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=context,
-            initializer=initializer,
-            initargs=initargs,
-        )
-
-    def _ensure_pool(self) -> Executor:
-        return self._workerpool.ensure()
-
-    def _replace_pool(self, stale: Executor | None = None) -> Executor:
-        """Discard the (possibly broken) pool and spin up a fresh one.
-
-        A crashed process worker poisons the whole ``ProcessPoolExecutor``
-        — every pending future raises ``BrokenProcessPool`` — so recovery
-        is a pool replacement, not a worker restart.  ``stale`` makes
-        concurrent recoveries idempotent (see :meth:`WorkerPool.replace`).
-        """
-        return self._workerpool.replace(stale)
-
-    def replace_engine(self, engine) -> None:
-        """Hot-swap a rebuilt engine (the integrity repair path).
-
-        With a live operand plane the swap is a re-publish plus a
-        generation bump: workers see the new descriptor on their next
-        shard and re-attach — no pool rebuild, no worker restart.
-        Without a plane, a live process pool is rebuilt so workers
-        re-initialize from the new engine's artifacts; a never-used pool
-        stays lazy.  Callers serialize this against in-flight batches
-        (the serve layer drains its pipeline to a barrier first).
-        """
-        self.engine = engine
-        if self._plane is not None:
-            old, self._plane = self._plane, None
-            self._plane = self._publish_plane()
-            old.dispose()
-            if self.use_shm:
-                # Shm shards carry the plane descriptor, so live workers
-                # notice the generation bump on their next task.
-                return
-            # By-value shards carry no descriptor — rebuild the pool so
-            # worker initializers attach the republished plane.
-        if self._workerpool.executor is not None:
-            self._replace_pool()
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent).
-
-        Process pools are drained first: workers hold metric residue
-        recorded since their last shipped delta (e.g. a final task whose
-        result the parent already collected), and close is the last
-        chance to merge it.  Parent-owned segments (operand plane, arena
-        pool) are disposed here — nothing may outlive the runner.
-        """
-        executor = self._workerpool.executor
-        if executor is not None and self.executor_kind == "process":
-            drain_pool(executor, get_registry(), self.workers)
-        self._workerpool.close()
-        if self._plane is not None:
-            self._plane.dispose()
-            self._plane = None
-        self._arena.drain()
-
-    def __enter__(self) -> "BatchRunner":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    def _run_shard(self, index: int, levels: np.ndarray) -> np.ndarray:
-        """One shard in a worker thread: timed span + packed scores."""
-        with stage_timer("batch.shard"):
-            annotate_span(shard=index, samples=len(levels))
-            return self.engine.scores(levels)
-
-    def scores(self, levels: np.ndarray) -> np.ndarray:
-        """Soft-voting class scores (B, n_classes), order preserved."""
-        levels = np.asarray(levels)
-        n = levels.shape[0]
-        spans = self._shards(n)
-        registry = get_registry()
-        with trace_span("batch.run"):
-            annotate_span(
-                batch=n,
-                shards=len(spans),
-                workers=self.workers,
-                executor=self.executor_kind,
-            )
-            registry.gauge("batch.workers").set(self.workers)
-            registry.counter("batch.samples").add(n)
-            registry.counter("batch.shards").add(len(spans))
-            if not spans:
-                return self.engine.scores(levels)
-            if len(spans) == 1 or (
-                self.workers == 1 and self.executor_kind == "thread"
-            ):
-                parts = [
-                    self._run_shard(i, levels[a:b]) for i, (a, b) in enumerate(spans)
-                ]
-                return np.concatenate(parts, axis=0)
-            pool = self._ensure_pool()
-            futures: list = []
-            shared: SharedArray | None = None
-            out_shared: SharedArray | None = None
-            try:
-                if self.executor_kind == "thread":
-                    futures = [
-                        pool.submit(self._run_shard, i, levels[a:b])
-                        for i, (a, b) in enumerate(spans)
-                    ]
-                    parts = [f.result() for f in futures]
-                    result = np.concatenate(parts, axis=0)
-                else:
-                    plane = self._plane_descriptor()
-                    if self.use_shm:
-                        # One copy into the request segment; every shard
-                        # ships a ~100-byte descriptor instead of its
-                        # samples, and writes its scores into the result
-                        # plane at its span offset.
-                        shared = self._share_batch(levels, registry)
-                        out_shared = self._share_output(n, registry)
-                        descriptor = shared.descriptor()
-                        out_descriptor = out_shared.descriptor()
-                        futures = [
-                            pool.submit(
-                                _process_worker_scores_shm,
-                                descriptor,
-                                a,
-                                b,
-                                out_descriptor,
-                                plane,
-                            )
-                            for a, b in spans
-                        ]
-                        # The zero-copy contract, measured not asserted.
-                        registry.counter("batch.bytes_pickled_return").add(0)
-                    else:
-                        registry.counter("batch.bytes_pickled").add(levels.nbytes)
-                        futures = [
-                            pool.submit(_process_worker_scores, levels[a:b])
-                            for a, b in spans
-                        ]
-                    shard_hist = registry.histogram("batch.shard")
-                    out_view = (
-                        out_shared.view() if out_shared is not None else None
-                    )
-                    parts = []
-                    for future in futures:
-                        payload, duration, delta = future.result()
-                        shard_hist.observe(duration)
-                        merge_delta(registry, delta)
-                        if out_view is not None:
-                            a, b = payload
-                            parts.append(out_view[a:b])
-                        else:
-                            registry.counter("batch.bytes_pickled_return").add(
-                                payload.nbytes
-                            )
-                            parts.append(payload)
-                    # Concatenate (copies) before the segments go back to
-                    # the arena — parts may alias the result plane.
-                    result = np.concatenate(parts, axis=0)
-            except BaseException:
-                # A shard failed while its siblings keep running (or sit
-                # queued).  Cancel whatever has not started so the pool
-                # drains now instead of grinding through doomed shards —
-                # under serve load that idle time is the next batch's.
-                for future in futures:
-                    future.cancel()
-                # Destroy the segments instead of pooling them: a dying
-                # pool's sibling worker may still be mid-write, and the
-                # arena must never reissue a name a zombie could touch.
-                self._arena.discard(shared)
-                self._arena.discard(out_shared)
-                raise
-            finally:
-                # Segment lifetime is exactly the batch's; hand both
-                # planes back to the arena for the next same-shape batch
-                # (no-op for segments the except path already destroyed).
-                self._arena.release(shared)
-                self._arena.release(out_shared)
-            return result
-
-    def predict(self, levels: np.ndarray) -> np.ndarray:
-        """Predicted labels, order preserved."""
-        return self.scores(levels).argmax(axis=1)
-
-    def score(self, levels: np.ndarray, y: np.ndarray) -> float:
-        """Mean accuracy over the sharded batch."""
-        return float((self.predict(levels) == np.asarray(y)).mean())

@@ -70,7 +70,7 @@ def mark_process_worker(flag: bool = True) -> None:
     """Mark this process as a pool worker, arming the ``crash`` fault.
 
     Called from the process-pool initializer
-    (:func:`repro.runtime.resilience._resilient_worker_init`); nothing
+    (:func:`repro.runtime.resilience._worker_init`); nothing
     ever sets it in the serving process, so a crash draw there can never
     ``os._exit`` the orchestrator.
     """

@@ -1,8 +1,34 @@
-"""Fault-tolerant batch serving: retry, fallback, quarantine, breaker.
+"""The batch runner: sharded packed inference that survives failures.
 
-:class:`ResilientBatchRunner` wraps the :class:`~repro.runtime.batch.BatchRunner`
-sharding machinery with the failure handling a production deployment
-needs, following a fixed degradation ladder per shard:
+:class:`ResilientBatchRunner` is the runtime's one batch runner.  It
+shards a batch of quantized level frames across a worker pool, runs
+:class:`repro.core.BitPackedUniVSA` on each shard and reassembles the
+scores in input order.  Threads are the default — the bit kernels are
+NumPy ufunc loops that release the GIL, so shards genuinely overlap —
+with a process-pool option for workloads that want memory isolation.
+
+Process mode is zero-copy in **both** directions by default
+(``shm=None`` → ``REPRO_SHM``, see :func:`repro.runtime.shm.resolve_shm`):
+
+* the **request plane** materializes the batch's level array in one
+  parent-owned segment per call (reused across same-shape batches via a
+  :class:`~repro.runtime.shm.SegmentArena`); workers attach zero-copy
+  views by name + span;
+* the **result plane** is a parent-allocated ``(B, n_classes)`` segment
+  workers *write* at their span offset — the return leg of the pipe
+  carries ``(span, wall, telemetry_delta)`` instead of a pickled score
+  array (``batch.bytes_pickled_return`` stays 0 in shm mode; the
+  non-shm path counts every returned array there);
+* the **operand plane** serializes the engine's resident read-only
+  operands into one parent-owned segment at pool spin-up; worker
+  initializers attach and reconstruct zero-copy views
+  (:meth:`BitPackedUniVSA.from_operand_state`) instead of rebuilding the
+  engine from pickled artifacts, and ``replace_engine`` repairs become a
+  re-publish plus a generation bump that workers detect per shard — no
+  pool rebuild.  Where the plane cannot be published, workers bootstrap
+  from pickled artifacts instead.
+
+Each shard follows a fixed degradation ladder:
 
 1. **Retry** — a shard attempt that raises, times out (``timeout_s``
    result deadline), or dies with its process worker is retried up to
@@ -26,13 +52,23 @@ needs, following a fixed degradation ladder per shard:
    :class:`BatchReport`, so a systemic outage fails fast instead of
    grinding through retries.
 
-Every event lands in the observability stack: ``resilience.{retries,
-fallbacks, quarantined, timeouts, broken_pools, failed_shards}``
-counters, ``resilience.{breaker_open, degraded}`` gauges, and a
-``batch.retry`` stage timer whose spans annotate the shard, attempt, and
-error.  The run ledger harvests the ``resilience.*`` instruments into
-every record (see :func:`repro.obs.ledger.record_run`), so degraded runs
-are marked in ``benchmarks/results/ledger.jsonl``.
+A plain run — no retry, no fallback, the first failed shard fatal — is
+the policy ``RetryPolicy(max_retries=0, fallback=False,
+breaker_threshold=1)``, not a second runner.
+
+Every event lands in the observability stack.  Each shard runs under
+``stage_timer("batch.shard")`` (a process worker's spans live in its own
+process, so process mode observes the worker-reported shard wall time
+instead); a ``batch.run`` trace root annotated with batch size, shard
+count and worker count wraps the whole call; ``batch.{samples,shards}``
+counters and a ``batch.workers`` gauge record what the pool did.  The
+ladder adds ``resilience.{retries, fallbacks, quarantined, timeouts,
+broken_pools, failed_shards}`` counters, ``resilience.{breaker_open,
+degraded}`` gauges, and a ``batch.retry`` stage timer whose spans
+annotate the shard, attempt, and error.  The run ledger harvests the
+``resilience.*`` instruments into every record (see
+:func:`repro.obs.ledger.record_run`), so degraded runs are marked in
+``benchmarks/results/ledger.jsonl``.
 
 Chaos specs (:mod:`repro.runtime.chaos`, ``REPRO_CHAOS``) plug into the
 same shard seam, which is how the whole ladder is exercised end to end
@@ -45,6 +81,7 @@ import os
 import threading
 import time
 from concurrent.futures import CancelledError as FuturesCancelledError
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -54,6 +91,7 @@ import numpy as np
 
 from repro.obs import annotate_span, get_registry, stage_timer, trace_span
 from repro.obs.telemetry import (
+    drain_pool,
     drain_worker_delta,
     install_worker_telemetry,
     merge_delta,
@@ -61,8 +99,15 @@ from repro.obs.telemetry import (
 )
 from repro.vsa.kernels import get_kernels, using_kernels
 
-from .batch import BatchRunner, _attach_plane_engine
-from .shm import SharedArray, attach_view
+from .batch import WorkerPool, resolve_workers
+from .shm import (
+    OperandPlane,
+    SegmentArena,
+    SharedArray,
+    attach_plane,
+    attach_view,
+    resolve_shm,
+)
 from .chaos import (
     ChaosError,
     ChaosSpec,
@@ -378,13 +423,29 @@ _WORKER_CHAOS: ChaosSpec | None = None
 _WORKER_PLANE_KEY: tuple | None = None
 
 
-def _resilient_worker_init(source, chaos: ChaosSpec | None, telemetry: bool = False):
+def _worker_attach_plane(descriptor: tuple) -> None:
+    """(Re)build the worker engine over zero-copy views of an operand plane.
+
+    The counter is gated on the initializer telemetry flag so
+    observability-off pools never touch a registry.
+    """
+    global _WORKER_ENGINE, _WORKER_PLANE_KEY
+    from repro.core.inference import BitPackedUniVSA
+
+    arrays, meta = attach_plane(descriptor)
+    _WORKER_ENGINE = BitPackedUniVSA.from_operand_state(arrays, meta)
+    _WORKER_PLANE_KEY = tuple(descriptor)
+    if worker_telemetry_installed():
+        get_registry().counter("batch.shm.plane_attach").add(1)
+
+
+def _worker_init(source, chaos: ChaosSpec | None, telemetry: bool = False):
     """Pool initializer: plane-attach or pickled-artifact engine + chaos.
 
-    ``source`` mirrors :func:`repro.runtime.batch._process_worker_init`:
-    ``("plane", descriptor)`` attaches the parent-owned operand plane and
-    reconstructs zero-copy views; ``("artifacts", (artifacts, mode,
-    conv_tile_mb))`` rebuilds the engine from pickled artifacts.
+    ``source`` is ``("plane", descriptor)`` — attach the parent-owned
+    operand plane and reconstruct zero-copy views — or ``("artifacts",
+    (artifacts, mode, conv_tile_mb))`` — the pickled fallback that
+    rebuilds the engine in the worker.
     """
     global _WORKER_ENGINE, _WORKER_CHAOS, _WORKER_PLANE_KEY
     from repro.vsa.kernels import publish_kernel_metrics, set_kernels
@@ -392,8 +453,7 @@ def _resilient_worker_init(source, chaos: ChaosSpec | None, telemetry: bool = Fa
     mark_process_worker()  # this process may be hard-killed by crash chaos
     kind, payload = source
     if kind == "plane":
-        _WORKER_ENGINE = _attach_plane_engine(payload)
-        _WORKER_PLANE_KEY = tuple(payload)
+        _worker_attach_plane(payload)
     else:
         from repro.core.inference import BitPackedUniVSA
 
@@ -417,22 +477,18 @@ def _resilient_worker_init(source, chaos: ChaosSpec | None, telemetry: bool = Fa
 
 def _ensure_worker_engine(plane_descriptor: tuple | None) -> None:
     """Detect an operand-plane generation bump and re-attach."""
-    global _WORKER_ENGINE, _WORKER_PLANE_KEY
-    if plane_descriptor is None:
-        return
-    if tuple(plane_descriptor) != _WORKER_PLANE_KEY:
-        _WORKER_ENGINE = _attach_plane_engine(plane_descriptor)
-        _WORKER_PLANE_KEY = tuple(plane_descriptor)
+    if plane_descriptor is not None and tuple(plane_descriptor) != _WORKER_PLANE_KEY:
+        _worker_attach_plane(plane_descriptor)
 
 
-def _resilient_worker_scores(shard: int, attempt: int, levels: np.ndarray):
+def _worker_scores(shard: int, attempt: int, levels: np.ndarray):
     start = perf_counter()
     with chaos_context(_WORKER_CHAOS, shard, attempt):
         scores = _WORKER_ENGINE.scores(levels)
     return scores, perf_counter() - start, drain_worker_delta()
 
 
-def _resilient_worker_scores_shm(
+def _worker_scores_shm(
     descriptor: tuple,
     shard: int,
     attempt: int,
@@ -485,15 +541,40 @@ class _BatchSegments:
 # ---------------------------------------------------------------------------
 # the runner
 # ---------------------------------------------------------------------------
-class ResilientBatchRunner(BatchRunner):
+class ResilientBatchRunner:
     """Order-preserving sharded execution that survives failures.
 
-    Accepts everything :class:`~repro.runtime.batch.BatchRunner` does,
-    plus a :class:`RetryPolicy` (default :meth:`RetryPolicy.from_env`)
-    and a :class:`ChaosSpec` (default ``REPRO_CHAOS``).  ``run`` returns
-    a :class:`BatchResult`; ``scores``/``predict`` stay drop-in
-    compatible with the plain runner and stash the latest report on
-    ``last_report``.
+    Parameters
+    ----------
+    engine:
+        A :class:`repro.core.BitPackedUniVSA` (any mode).
+    shard_size:
+        Samples per shard; ``None`` splits the batch into about
+        ``2 x workers`` shards (load balancing without tiny shards; a
+        single thread worker gets a single shard — splitting work one
+        thread must run serially anyway only adds handoff overhead).
+    workers:
+        Pool size; ``None`` resolves via
+        :func:`~repro.runtime.batch.resolve_workers`.
+    executor:
+        ``"thread"`` (default) or ``"process"``.  Process mode bootstraps
+        each worker once via the pool initializer — from the shared
+        operand plane, else from pickled artifacts (with a fork start
+        method the packed tables are then shared copy-on-write).
+    mp_context:
+        Optional ``multiprocessing`` context for process mode.
+    policy:
+        The degradation ladder's :class:`RetryPolicy` (default
+        :meth:`RetryPolicy.from_env`).
+    chaos:
+        Fault injection at the shard seam (default ``REPRO_CHAOS``).
+    shm:
+        Zero-copy shard handoff through shared memory (process executors
+        only).  ``None`` defers to ``REPRO_SHM`` (default on); thread
+        executors ignore it entirely.
+
+    ``run`` returns a :class:`BatchResult`; ``scores``/``predict`` return
+    its arrays and stash the report on ``last_report``.
     """
 
     def __init__(
@@ -507,14 +588,22 @@ class ResilientBatchRunner(BatchRunner):
         chaos: ChaosSpec | None = None,
         shm: bool | None = None,
     ) -> None:
-        super().__init__(
-            engine,
-            shard_size=shard_size,
-            workers=workers,
-            executor=executor,
-            mp_context=mp_context,
-            shm=shm,
-        )
+        if executor not in ("thread", "process"):
+            raise ValueError(
+                f"unknown executor {executor!r}; expected 'thread' or 'process'"
+            )
+        self.engine = engine
+        self.workers = resolve_workers(workers)
+        self.shard_size = shard_size
+        self.executor_kind = executor
+        self.use_shm = resolve_shm(shm, executor)
+        # Threads share the parent's engine object already.
+        self.use_plane = executor == "process"
+        self._mp_context = mp_context
+        self._workerpool = WorkerPool(self._make_pool)
+        self._plane: OperandPlane | None = None
+        self._plane_generation = 0
+        self._arena = SegmentArena()
         self.policy = policy if policy is not None else RetryPolicy.from_env()
         self.chaos = chaos if chaos is not None else ChaosSpec.from_env()
         if self.chaos.has_crash and self.executor_kind != "process":
@@ -530,8 +619,95 @@ class ResilientBatchRunner(BatchRunner):
         self._fallback_engine = None
         self._fallback_lock = threading.Lock()
 
-    # -- pool / worker seams -------------------------------------------
+    @property
+    def _pool(self) -> Executor | None:
+        return self._workerpool.executor
+
+    # -- sharding ---------------------------------------------------------
+    def effective_shard_size(self, n: int) -> int:
+        """The shard size a batch of ``n`` samples actually runs with.
+
+        Explicit ``shard_size`` wins; otherwise the batch splits into
+        about ``2 x workers`` shards.  The divisor is capped at ``n`` so
+        a degenerate batch (``n < workers``) yields ``n`` single-sample
+        shards instead of phantom empty ones.  A single-worker *thread*
+        runner gets one shard — inline execution is equivalent and there
+        is nobody to balance load against — but a single-worker process
+        runner keeps the 2-shard split: collapsing it to one shard would
+        take the inline shortcut and silently skip the pool, and with it
+        the isolation and zero-copy handoff the caller asked for.
+        """
+        if n <= 0:
+            return 0
+        size = self.shard_size
+        if size is None:
+            one_shard = self.workers == 1 and self.executor_kind == "thread"
+            target = 1 if one_shard else self.workers * 2
+            size = -(-n // max(1, min(target, n)))
+        return max(1, int(size))
+
+    def _shards(self, n: int) -> list[tuple[int, int]]:
+        """(start, stop) spans covering ``range(n)`` in order."""
+        size = self.effective_shard_size(n)
+        if size <= 0:
+            return []
+        return [(start, min(start + size, n)) for start in range(0, n, size)]
+
+    def _share_batch(self, levels: np.ndarray, registry) -> SharedArray:
+        """Materialize ``levels`` in a parent-owned shm segment (arena)."""
+        shared = self._arena.acquire(levels)
+        registry.counter("batch.shm.segments").add(1)
+        registry.counter("batch.shm.bytes_shared").add(shared.nbytes)
+        return shared
+
+    def _share_output(self, n: int, registry) -> SharedArray:
+        """The result plane: one ``(n, n_classes)`` segment per batch."""
+        n_classes = self.engine.artifacts.n_classes
+        out = self._arena.acquire_empty((n, n_classes), np.int64)
+        registry.counter("batch.shm.segments").add(1)
+        registry.counter("batch.shm.bytes_shared").add(out.nbytes)
+        return out
+
+    # -- operand plane lifecycle (parent-owned, generation-tagged) ---------
+    def _publish_plane(self) -> OperandPlane:
+        """Publish the current engine's operands as a fresh plane."""
+        arrays, meta = self.engine.operand_state()
+        self._plane_generation += 1
+        plane = OperandPlane(arrays, meta, generation=self._plane_generation)
+        registry = get_registry()
+        registry.counter("batch.shm.plane_published").add(1)
+        registry.counter("batch.shm.plane_bytes").add(plane.nbytes)
+        registry.gauge("batch.shm.plane_generation").set(self._plane_generation)
+        return plane
+
+    def _ensure_plane(self) -> OperandPlane | None:
+        if not self.use_plane:
+            return None
+        if self._plane is None:
+            try:
+                self._plane = self._publish_plane()
+            except Exception:
+                # No shm plane on this platform — fall back to pickled
+                # artifacts for the life of this runner.
+                self.use_plane = False
+                return None
+        return self._plane
+
+    def _plane_descriptor(self) -> tuple | None:
+        return self._plane.descriptor() if self._plane is not None else None
+
+    # -- pool lifecycle ----------------------------------------------------
     def _pool_initializer(self):
+        """(initializer, initargs) for process pools.
+
+        Workers bootstrap from the operand plane when it is published,
+        else from pickled artifacts.  The trailing initarg is the
+        telemetry switch: workers install a recording registry only when
+        the parent registry is enabled at pool-build time, so
+        observability-off runs keep the zero-overhead path end to end.
+        Re-evaluated whenever the pool is (re)built, including crash
+        replacement.
+        """
         plane = self._ensure_plane()
         if plane is not None:
             source = ("plane", plane.descriptor())
@@ -540,12 +716,101 @@ class ResilientBatchRunner(BatchRunner):
                 "artifacts",
                 (self.engine.artifacts, self.engine.mode, self.engine.conv_tile_mb),
             )
-        return _resilient_worker_init, (
+        return _worker_init, (
             source,
             self.chaos if self.chaos.enabled else None,
             get_registry().enabled,
         )
 
+    def _make_pool(self) -> Executor:
+        """Build a fresh worker pool (also the rebuild path after a crash)."""
+        if self.executor_kind == "thread":
+            return ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="repro-batch"
+            )
+        import multiprocessing as mp
+
+        context = self._mp_context
+        if context is None:
+            method = "fork" if "fork" in mp.get_all_start_methods() else None
+            context = mp.get_context(method)
+        initializer, initargs = self._pool_initializer()
+        return ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=context,
+            initializer=initializer,
+            initargs=initargs,
+        )
+
+    def _ensure_pool(self) -> Executor:
+        return self._workerpool.ensure()
+
+    def _replace_pool(self, stale: Executor | None = None) -> Executor:
+        """Discard the (possibly broken) pool and spin up a fresh one.
+
+        A crashed process worker poisons the whole ``ProcessPoolExecutor``
+        — every pending future raises ``BrokenProcessPool`` — so recovery
+        is a pool replacement, not a worker restart.  ``stale`` makes
+        concurrent recoveries idempotent (see :meth:`WorkerPool.replace`).
+        """
+        return self._workerpool.replace(stale)
+
+    def replace_engine(self, engine) -> None:
+        """Hot-swap a rebuilt engine (the integrity repair path).
+
+        With a live operand plane the swap is a re-publish plus a
+        generation bump: workers see the new descriptor on their next
+        shard and re-attach — no pool rebuild, no worker restart.
+        Without a plane, a live process pool is rebuilt so workers
+        re-initialize from the new engine's artifacts; a never-used pool
+        stays lazy.  Callers serialize this against in-flight batches
+        (the serve layer drains its pipeline to a barrier first).
+
+        The legacy fallback is reset too: a sibling built over the
+        corrupted artifacts would re-serve the corruption on the next
+        degraded batch, so it is dropped and lazily rebuilt from the
+        repaired engine when next needed.
+        """
+        self.engine = engine
+        self._fallback_engine = None
+        if self._plane is not None:
+            old, self._plane = self._plane, None
+            self._plane = self._publish_plane()
+            old.dispose()
+            if self.use_shm:
+                # Shm shards carry the plane descriptor, so live workers
+                # notice the generation bump on their next task.
+                return
+            # By-value shards carry no descriptor — rebuild the pool so
+            # worker initializers attach the republished plane.
+        if self._workerpool.executor is not None:
+            self._replace_pool()
+
+    def close(self) -> None:
+        """Shut the worker pool down (idempotent).
+
+        Process pools are drained first: workers hold metric residue
+        recorded since their last shipped delta (e.g. a final task whose
+        result the parent already collected), and close is the last
+        chance to merge it.  Parent-owned segments (operand plane, arena
+        pool) are disposed here — nothing may outlive the runner.
+        """
+        executor = self._workerpool.executor
+        if executor is not None and self.executor_kind == "process":
+            drain_pool(executor, get_registry(), self.workers)
+        self._workerpool.close()
+        if self._plane is not None:
+            self._plane.dispose()
+            self._plane = None
+        self._arena.drain()
+
+    def __enter__(self) -> "ResilientBatchRunner":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+    # -- shard seams --------------------------------------------------------
     def _submit(
         self,
         pool,
@@ -563,7 +828,7 @@ class ResilientBatchRunner(BatchRunner):
             # (re)submission automatically.
             out = segments.result
             return pool.submit(
-                _resilient_worker_scores_shm,
+                _worker_scores_shm,
                 segments.request.descriptor(),
                 shard,
                 attempt,
@@ -572,7 +837,7 @@ class ResilientBatchRunner(BatchRunner):
                 out.descriptor() if out is not None else None,
                 self._plane_descriptor(),
             )
-        return pool.submit(_resilient_worker_scores, shard, attempt, levels)
+        return pool.submit(_worker_scores, shard, attempt, levels)
 
     def _thread_shard(self, shard: int, attempt: int, levels: np.ndarray) -> np.ndarray:
         with stage_timer("batch.shard"):
@@ -604,17 +869,6 @@ class ResilientBatchRunner(BatchRunner):
                     self._fallback_engine = self.engine.sibling("legacy")
             return self._fallback_engine
 
-    def replace_engine(self, engine) -> None:
-        """Hot-swap a rebuilt engine, also resetting the legacy fallback.
-
-        The integrity scrubber calls this on repair: a fallback sibling
-        built over the corrupted artifacts would re-serve the corruption
-        on the next degraded batch, so it is dropped and lazily rebuilt
-        from the repaired engine when next needed.
-        """
-        super().replace_engine(engine)
-        self._fallback_engine = None
-
     # -- public API -----------------------------------------------------
     def scores(self, levels: np.ndarray) -> np.ndarray:
         """Soft-voting class scores; quarantined rows are all-zero."""
@@ -645,9 +899,11 @@ class ResilientBatchRunner(BatchRunner):
         )
         if quarantined:
             registry.counter("resilience.quarantined").add(len(quarantined))
+        spans = self._shards(clean.shape[0])
         with trace_span("batch.run"):
             annotate_span(
                 batch=n,
+                shards=len(spans),
                 workers=self.workers,
                 executor=self.executor_kind,
                 quarantined=len(quarantined),
@@ -655,6 +911,7 @@ class ResilientBatchRunner(BatchRunner):
             )
             registry.gauge("batch.workers").set(self.workers)
             registry.counter("batch.samples").add(n)
+            registry.counter("batch.shards").add(len(spans))
             if self.chaos.enabled and self.chaos.bitflip_rate > 0.0:
                 # The chaos popcount wrapper is a passthrough outside an
                 # open chaos context, so a global install is safe.  It is
@@ -662,19 +919,17 @@ class ResilientBatchRunner(BatchRunner):
                 # this process's kernel registry, and under a process
                 # executor the single-shard inline path and the fallback
                 # attempts run here too (pool workers install their own
-                # copy in _resilient_worker_init; chaos_kernels never
-                # double-wraps a fork-inherited set).
+                # copy in _worker_init; chaos_kernels never double-wraps
+                # a fork-inherited set).
                 with using_kernels(chaos_kernels(get_kernels())):
-                    parts = self._execute_shards(clean, report)
+                    parts = self._execute_shards(clean, spans, report)
             else:
-                parts = self._execute_shards(clean, report)
+                parts = self._execute_shards(clean, spans, report)
         return self._assemble(good, parts, report)
 
     # -- execution core -------------------------------------------------
-    def _execute_shards(self, clean: np.ndarray, report: BatchReport):
+    def _execute_shards(self, clean: np.ndarray, spans, report: BatchReport):
         registry = get_registry()
-        spans = self._shards(clean.shape[0])
-        registry.counter("batch.shards").add(len(spans))
         statuses = [
             ShardStatus(i, a, b, engine=self.engine.mode)
             for i, (a, b) in enumerate(spans)

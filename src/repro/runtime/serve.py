@@ -302,17 +302,7 @@ class MicroBatchServer:
         # mutates resident engine memory between batches, which must
         # never race another executing batch — it forces depth 1.
         corrupt = getattr(getattr(self.runner, "chaos", None), "corrupt_rate", 0.0)
-        inflight = self.policy.max_inflight
-        if inflight == ServePolicy.max_inflight:
-            # A calibrated plan (REPRO_PLAN) may deepen or flatten the
-            # pipeline, but only while the policy still carries the
-            # default — an explicit max_inflight always wins.
-            from repro.runtime.batch import _active_plan
-
-            plan = _active_plan(self.runner.engine)
-            if plan is not None:
-                inflight = max(1, plan.max_inflight)
-        self._slots = 1 if corrupt else inflight
+        self._slots = 1 if corrupt else self.policy.max_inflight
         self._inflight_tasks = []
         self._fanout_gate = None
         self._peak_inflight = 0

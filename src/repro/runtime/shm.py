@@ -25,10 +25,11 @@ The same segment machinery now serves three planes:
 
 Ownership is strictly parent-side:
 
-* the parent (the :class:`~repro.runtime.batch.BatchRunner` that built
-  the segment) is the only unlinker — :meth:`SharedArray.dispose` closes
-  *and* unlinks, and runners call it in a ``finally`` so no segment
-  outlives its batch, even when a shard raises;
+* the parent (the :class:`~repro.runtime.resilience.ResilientBatchRunner`
+  that built the segment) is the only unlinker —
+  :meth:`SharedArray.dispose` closes *and* unlinks, and the runner calls
+  it in a ``finally`` so no segment outlives its batch, even when a
+  shard raises;
 * workers only ever attach and close.  Attached handles are kept in a
   small per-process LRU (:func:`attach_view`) because serving reuses one
   segment for many shards.  On Linux the attach maps the ``/dev/shm``

@@ -27,12 +27,6 @@ five engine configurations:
   The same chaos spec applies, so a crash-chaos bench exercises pool
   replacement + segment re-share end to end.
 
-With the execution planner active (``REPRO_PLAN`` or the ``plan``
-argument) a sixth ``planned`` stage runs the calibrated winning
-configuration — fused engine at the calibrated conv tile budget under
-the calibrated executor — through the resilient runner, and joins the
-bit-exactness assertion like every other stage.
-
 The report also carries each mode's analytic memory-traffic model
 (``traffic``) and the shm run's handoff counters, which the ledger
 record surfaces as ``bytes_shared`` / ``bytes_pickled_estimate`` /
@@ -108,7 +102,6 @@ class ThroughputReport:
     prediction_mismatches: int = 0  # non-excluded divergences (bitflip chaos only)
     shm: dict = field(default_factory=dict)  # shm stage: handoff counters + report
     traffic: dict = field(default_factory=dict)  # per-mode analytic roofline models
-    plan: dict = field(default_factory=dict)  # active ExecutionPlan (empty = off)
 
     @property
     def speedup_vs_seed(self) -> float:
@@ -154,16 +147,6 @@ class ThroughputReport:
         fast_model = self.traffic.get("fast")
         if fast_model:
             metrics["traffic_bytes_per_sample_fast"] = fast_model["bytes_per_sample"]
-        if self.plan:
-            metrics["plan.samples_per_s"] = float(
-                self.plan.get("samples_per_s", 0.0)
-            )
-            metrics["plan.conv_tile_mb"] = float(
-                self.plan.get("conv_tile_mb", 0.0)
-            )
-            metrics["plan.max_inflight"] = float(
-                self.plan.get("max_inflight", 1)
-            )
         if self.resilience:
             metrics["resilience_retries"] = float(
                 self.resilience.get("retries", 0)
@@ -196,7 +179,6 @@ class ThroughputReport:
             "prediction_mismatches": self.prediction_mismatches,
             "shm": self.shm,
             "traffic": self.traffic,
-            "plan": self.plan,
         }
 
     def render(self) -> str:
@@ -204,7 +186,7 @@ class ThroughputReport:
 
         seed = self.engines.get("seed")
         rows = []
-        for name in ("seed", "fast", "fused", "parallel", "shm", "planned"):
+        for name in ("seed", "fast", "fused", "parallel", "shm"):
             engine = self.engines.get(name)
             if engine is None:
                 continue
@@ -236,13 +218,6 @@ class ThroughputReport:
             fields["shm handoff"] = (
                 f"{self.shm.get('bytes_shared', 0)} B shared vs "
                 f"{self.shm.get('bytes_pickled_estimate', 0)} B pickled/batch"
-            )
-        if self.plan:
-            fields["plan"] = (
-                f"{self.plan.get('executor', '?')} · "
-                f"tile {self.plan.get('conv_tile_mb', 0):g} MB · "
-                f"inflight {self.plan.get('max_inflight', 1)} "
-                f"(key {self.plan.get('key', '')})"
             )
         if self.chaos:
             fields["chaos"] = ", ".join(
@@ -289,16 +264,8 @@ def bench_throughput(
     epochs: int = 2,
     seed: int = 0,
     shm: bool | None = None,
-    plan: str | None = None,
 ) -> ThroughputReport:
-    """Train a small model on ``benchmark`` and measure samples/sec.
-
-    ``plan`` selects the execution planner: ``None`` defers to
-    ``REPRO_PLAN``, ``"off"`` disables it, ``"auto"`` calibrates (or
-    reuses the cache), a path loads a specific plan file.  With a plan
-    active a sixth ``planned`` stage runs the calibrated configuration
-    through the resilient runner and joins the bit-exactness assertion.
-    """
+    """Train a small model on ``benchmark`` and measure samples/sec."""
     from repro.core.inference import BitPackedUniVSA
     from repro.core.pipeline import run_benchmark
     from repro.data.registry import get_benchmark
@@ -430,49 +397,6 @@ def bench_throughput(
         for mode in ("legacy", "fast", "fused")
     }
 
-    # planned: the planner's winning configuration run end to end —
-    # fused engine at the calibrated tile budget under the calibrated
-    # executor — so "the plan is fast AND bit-exact" is asserted by the
-    # same harness that certifies the hand-tuned stages.
-    from repro.runtime.plan import resolve_plan
-
-    environ = None if plan is None else {"REPRO_PLAN": plan}
-    active_plan = resolve_plan(fused_engine, batch=batch, environ=environ)
-    plan_info: dict = {}
-    planned_report = None
-    if active_plan is not None:
-        planned_engine = BitPackedUniVSA(
-            run.artifacts, mode="fused", conv_tile_mb=active_plan.conv_tile_mb
-        )
-        runner_kwargs = active_plan.runner_kwargs()
-        # crash chaos hard-kills pool workers; it only exists on process
-        # executors, so other planned executors run it disabled.
-        planned_chaos = (
-            chaos
-            if (not chaos.has_crash or runner_kwargs.get("executor") == "process")
-            else ChaosSpec()
-        )
-        planned_registry = MetricsRegistry()
-        with using_kernels("fast"), using_registry(
-            planned_registry
-        ), ResilientBatchRunner(
-            planned_engine,
-            policy=RetryPolicy.from_env(),
-            chaos=planned_chaos,
-            **runner_kwargs,
-        ) as runner:
-            best, mean, planned_result = _time_engine(
-                runner.run, levels, repeats, warmup
-            )
-        planned_stages = stage_breakdown(planned_registry, prefix="packed.")
-        planned_stages.update(stage_breakdown(planned_registry, prefix="batch."))
-        engines["planned"] = EngineSample(
-            "planned", batch / best, best, mean, repeats, stages=planned_stages
-        )
-        planned_report = planned_result.report
-        predictions["planned"] = planned_result.predictions
-        plan_info = active_plan.as_dict()
-
     # A throughput number from a non-bit-exact engine would be garbage:
     # every engine must classify the workload identically.  Samples a
     # resilient runner excluded (quarantined or failed shards) carry the
@@ -490,10 +414,6 @@ def bench_throughput(
         "parallel": included,
         "shm": shm_included,
     }
-    if planned_report is not None:
-        planned_included = np.ones(batch, dtype=bool)
-        planned_included[planned_report.excluded] = False
-        masks["planned"] = planned_included
     mismatches = 0
     for name, mask in masks.items():
         diverged = int(
@@ -529,5 +449,4 @@ def bench_throughput(
         prediction_mismatches=mismatches,
         shm=shm_info,
         traffic=traffic,
-        plan=plan_info,
     )

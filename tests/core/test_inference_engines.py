@@ -14,6 +14,7 @@ the same reference.
 
 import os
 import shutil
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -121,6 +122,46 @@ class TestEngineEquivalence:
             fast.scores(levels), artifacts.scores(levels)
         )
 
+    @staticmethod
+    def _zero_gamma_artifacts(shape=(6, 10)):
+        """BN with three ``gamma == 0`` channels: beta >= 0 folds to a
+        -inf threshold (always fires), beta < 0 to +inf (never fires)."""
+        config = replace(SMALL, use_batchnorm=True)
+        model = UniVSAModel(shape, 3, config, mask=_mask(shape), seed=3)
+        model.train()
+        for seed in range(3):
+            model(Tensor(model.preprocess(_levels_batch(shape, seed=seed))))
+        model.eval()
+        model.conv_bn.gamma.data[:] = [0.0, 0.0, -1.0, 1.0, -0.5, 2.0, 0.0, 1.0]
+        model.conv_bn.beta.data[:] = [0.5, -0.5, 0.3, -0.2, 0.1, 0.0, 0.0, 0.7]
+        return extract_artifacts(model)
+
+    def test_zero_gamma_infinite_thresholds_match_reference(self):
+        """A ±inf threshold once went through an undefined float->int64
+        cast in the fast and fused engines, so their scores silently
+        differed from the reference."""
+        shape = (6, 10)
+        artifacts = self._zero_gamma_artifacts(shape)
+        assert np.isinf(artifacts.conv_thresholds).sum() == 3
+        levels = _levels_batch(shape, n=32, seed=5)
+        expected = artifacts.scores(levels)
+        for mode in ("legacy", "fast", "fused"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                engine = BitPackedUniVSA(artifacts, mode=mode)
+            np.testing.assert_array_equal(
+                engine.scores(levels), expected, err_msg=mode
+            )
+
+    def test_nan_threshold_raises_naming_the_channel(self):
+        artifacts = self._zero_gamma_artifacts()
+        thresholds = artifacts.conv_thresholds.copy()
+        thresholds[4] = np.nan
+        broken = replace(artifacts, conv_thresholds=thresholds)
+        for mode in ("legacy", "fast", "fused"):
+            with pytest.raises(ValueError, match=r"conv_thresholds.*\[4\]"):
+                BitPackedUniVSA(broken, mode=mode)
+
     def test_no_kernel_ablation(self):
         config = SMALL.with_ablation(True, False, 2)
         shape = (6, 10)
@@ -217,10 +258,11 @@ def _tile_mb_for(artifacts, tile: int) -> float:
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_engine_equivalence_property(seed):
-    """Random configs, shapes, BN-folded thresholds with flips, batch
-    sizes and tile budgets: fast == fused (compiled conv and NumPy
-    matcher) == legacy == integer reference.  ``d_high`` up to 12 puts
-    two bytes in every tap, which the compiled kernel builds separately."""
+    """Random configs, shapes, BN-folded thresholds with flips (and
+    ``gamma == 0`` channels, whose thresholds fold to ±inf), batch sizes
+    and tile budgets: fast == fused (compiled conv and NumPy matcher) ==
+    legacy == integer reference.  ``d_high`` up to 12 puts two bytes in
+    every tap, which the compiled kernel builds separately."""
     gen = np.random.default_rng(seed)
     d_high = int(gen.integers(1, 13))
     config = UniVSAConfig(
@@ -241,8 +283,12 @@ def test_engine_equivalence_property(seed):
             model(Tensor(model.preprocess(gen.integers(0, 8, size=(9,) + shape))))
         model.eval()
         # Negative gammas flip channels; beta moves the folded thresholds.
+        # A zero gamma pins its channel to sign(beta): always fires for
+        # beta >= 0, never for beta < 0.
         o = config.out_channels
-        model.conv_bn.gamma.data[:] = gen.choice([-1.0, 1.0], o) * gen.uniform(0.2, 2.0, o)
+        gamma = gen.choice([-1.0, 1.0], o) * gen.uniform(0.2, 2.0, o)
+        gamma[gen.random(o) < 0.3] = 0.0
+        model.conv_bn.gamma.data[:] = gamma
         model.conv_bn.beta.data[:] = gen.normal(0.0, 1.0, o)
     artifacts = extract_artifacts(model)
     n = int(gen.integers(1, 10))

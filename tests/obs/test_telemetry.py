@@ -24,7 +24,7 @@ from repro.obs import (
 )
 from repro.obs.registry import set_registry
 from repro.obs.telemetry import worker_telemetry_installed, worker_trace_rate
-from repro.runtime import BatchRunner, ChaosSpec, ResilientBatchRunner, RetryPolicy
+from repro.runtime import ChaosSpec, ResilientBatchRunner, RetryPolicy
 
 LEVELS = 10
 SHAPE = (5, 8)
@@ -174,7 +174,7 @@ class TestMergeDeterminism:
     def _pooled(self, engine, samples, executor):
         registry = MetricsRegistry()
         with using_registry(registry):
-            with BatchRunner(
+            with ResilientBatchRunner(
                 engine, shard_size=self.SHARD, workers=2, executor=executor
             ) as runner:
                 runner.scores(samples)

@@ -1,11 +1,17 @@
-"""BatchRunner: order preservation, executor modes, observability."""
+"""The batch runner: order preservation, executor modes, observability."""
 
 import numpy as np
 import pytest
 
 from repro.core import BitPackedUniVSA, UniVSAConfig, UniVSAModel, extract_artifacts
 from repro.obs import MetricsRegistry, Tracer, using_registry, using_tracer
-from repro.runtime import BatchRunner, resolve_workers
+from repro.runtime import (
+    ChaosSpec,
+    CircuitOpenError,
+    ResilientBatchRunner,
+    RetryPolicy,
+    resolve_workers,
+)
 
 LEVELS = 10
 SHAPE = (5, 8)
@@ -50,53 +56,54 @@ class TestResolveWorkers:
 
 class TestSharding:
     def test_default_shards_are_order_covering(self, engine):
-        runner = BatchRunner(engine, workers=2)
+        runner = ResilientBatchRunner(engine, workers=2)
         spans = runner._shards(11)
         assert spans[0][0] == 0 and spans[-1][1] == 11
         rebuilt = [i for a, b in spans for i in range(a, b)]
         assert rebuilt == list(range(11))
 
     def test_explicit_shard_size(self, engine):
-        runner = BatchRunner(engine, shard_size=4)
+        runner = ResilientBatchRunner(engine, shard_size=4)
         assert runner._shards(10) == [(0, 4), (4, 8), (8, 10)]
 
     def test_shard_size_larger_than_batch(self, engine):
-        runner = BatchRunner(engine, shard_size=100)
+        runner = ResilientBatchRunner(engine, shard_size=100)
         assert runner._shards(3) == [(0, 3)]
 
     def test_rejects_unknown_executor(self, engine):
         with pytest.raises(ValueError, match="unknown executor"):
-            BatchRunner(engine, executor="fiber")
+            ResilientBatchRunner(engine, executor="fiber")
 
     def test_effective_shard_size_exposed(self, engine):
-        runner = BatchRunner(engine, workers=2)
+        runner = ResilientBatchRunner(engine, workers=2)
         assert runner.effective_shard_size(16) == 4  # ceil(16 / (2*2))
-        assert BatchRunner(engine, shard_size=7).effective_shard_size(100) == 7
+        explicit = ResilientBatchRunner(engine, shard_size=7)
+        assert explicit.effective_shard_size(100) == 7
 
     def test_degenerate_batch_smaller_than_workers(self, engine):
         """Regression: n < workers used to compute phantom empty shards;
         now the divisor caps at n, giving n single-sample shards."""
-        runner = BatchRunner(engine, workers=8)
+        runner = ResilientBatchRunner(engine, workers=8)
         assert runner.effective_shard_size(3) == 1
         spans = runner._shards(3)
         assert spans == [(0, 1), (1, 2), (2, 3)]
         assert all(b > a for a, b in spans)  # no empty shard, ever
         levels = _levels_batch(3, seed=9)
-        with BatchRunner(engine, workers=8) as small:
+        with ResilientBatchRunner(engine, workers=8) as small:
             np.testing.assert_array_equal(
                 small.scores(levels), engine.scores(levels)
             )
 
     def test_effective_shard_size_empty_batch(self, engine):
-        assert BatchRunner(engine, workers=4).effective_shard_size(0) == 0
-        assert BatchRunner(engine, workers=4)._shards(0) == []
+        assert ResilientBatchRunner(engine, workers=4).effective_shard_size(0) == 0
+        assert ResilientBatchRunner(engine, workers=4)._shards(0) == []
 
 
 class TestThreadedScores:
     def test_matches_direct_engine_and_preserves_order(self, engine):
         levels = _levels_batch(23, seed=1)
         expected = engine.scores(levels)
-        with BatchRunner(engine, shard_size=5, workers=3) as runner:
+        with ResilientBatchRunner(engine, shard_size=5, workers=3) as runner:
             np.testing.assert_array_equal(runner.scores(levels), expected)
             np.testing.assert_array_equal(
                 runner.predict(levels), expected.argmax(axis=1)
@@ -104,22 +111,16 @@ class TestThreadedScores:
 
     def test_single_worker_runs_inline(self, engine):
         levels = _levels_batch(8, seed=2)
-        with BatchRunner(engine, shard_size=3, workers=1) as runner:
+        with ResilientBatchRunner(engine, shard_size=3, workers=1) as runner:
             np.testing.assert_array_equal(
                 runner.scores(levels), engine.scores(levels)
             )
             assert runner._pool is None  # never spun up a pool
 
     def test_empty_batch(self, engine):
-        with BatchRunner(engine, workers=2) as runner:
+        with ResilientBatchRunner(engine, workers=2) as runner:
             scores = runner.scores(_levels_batch(0))
         assert scores.shape[0] == 0
-
-    def test_score_accuracy(self, engine):
-        levels = _levels_batch(12, seed=3)
-        y = engine.predict(levels)
-        with BatchRunner(engine, shard_size=4, workers=2) as runner:
-            assert runner.score(levels, y) == 1.0
 
 
 class TestObservability:
@@ -128,7 +129,7 @@ class TestObservability:
         registry = MetricsRegistry()
         tracer = Tracer()
         with using_registry(registry), using_tracer(tracer):
-            with BatchRunner(engine, shard_size=4, workers=2) as runner:
+            with ResilientBatchRunner(engine, shard_size=4, workers=2) as runner:
                 runner.scores(levels)
         assert registry.counter("batch.samples").value == 10
         assert registry.counter("batch.shards").value == 3
@@ -142,14 +143,12 @@ class TestObservability:
 
 
 class TestChaosRegression:
-    """Order-preservation pins for the resilient subclass, exercised
-    through the plain-runner API it must stay drop-in compatible with."""
+    """Order-preservation pins under injected faults, exercised through
+    ``scores``."""
 
     def test_middle_shard_crash_retry_preserves_order(self, engine):
         """A worker crash on the middle shard's first attempt must not
         reorder results: the retried shard lands back in its span."""
-        from repro.runtime import ChaosSpec, ResilientBatchRunner, RetryPolicy
-
         levels = _levels_batch(24, seed=6)
         expected = engine.scores(levels)
         with ResilientBatchRunner(
@@ -168,8 +167,6 @@ class TestChaosRegression:
     def test_thread_executor_equals_serial_under_delay_chaos(self, engine):
         """Injected latency skews shard completion order; results must
         still equal the serial engine exactly."""
-        from repro.runtime import ChaosSpec, ResilientBatchRunner, RetryPolicy
-
         levels = _levels_batch(21, seed=7)
         with ResilientBatchRunner(
             engine,
@@ -188,16 +185,23 @@ class TestChaosRegression:
 class TestFailureCancelsSiblings:
     def test_failed_shard_cancels_queued_siblings(self):
         """Regression: when one shard raised, its queued siblings kept
-        grinding through the pool; scores() must cancel what has not
-        started before re-raising.  Markers 1/2 block both workers while
+        grinding through the pool; a plain run (no retry, no fallback,
+        the breaker open at the first failure) must cancel what has not
+        started before raising.  Markers 1/2 block both workers while
         marker 0 fails, so the marker-3 shard is still queued when the
-        exception reaches the caller — it must never execute."""
+        breaker opens — it must never execute."""
         import threading
+        from types import SimpleNamespace
 
         release = threading.Event()
         executed = []
 
         class _Engine:
+            mode = "fast"
+            input_shape = (1,)
+            n_levels = 4
+            artifacts = SimpleNamespace(n_classes=3)
+
             def scores(self, levels):
                 marker = int(levels[0, 0])
                 if marker == 0:
@@ -207,12 +211,18 @@ class TestFailureCancelsSiblings:
                 return np.zeros((len(levels), 3))
 
         levels = np.arange(4, dtype=np.int64)[:, None]
-        with BatchRunner(_Engine(), shard_size=1, workers=2) as runner:
-            with pytest.raises(RuntimeError, match="shard zero exploded"):
+        plain = RetryPolicy(max_retries=0, fallback=False, breaker_threshold=1)
+        with ResilientBatchRunner(
+            _Engine(), shard_size=1, workers=2, policy=plain
+        ) as runner:
+            with pytest.raises(CircuitOpenError) as raised:
                 runner.scores(levels)
             # cancellation already happened; unblock the in-flight shards
             release.set()
         assert 3 not in executed
+        report = raised.value.report
+        assert report.shards[0].errors == ["RuntimeError"]
+        assert report.shards[3].status == "skipped"
 
 
 class TestProcessExecutor:
@@ -221,7 +231,7 @@ class TestProcessExecutor:
         expected = engine.scores(levels)
         registry = MetricsRegistry()
         with using_registry(registry):
-            with BatchRunner(
+            with ResilientBatchRunner(
                 engine, shard_size=3, workers=2, executor="process"
             ) as runner:
                 np.testing.assert_array_equal(runner.scores(levels), expected)

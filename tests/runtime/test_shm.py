@@ -13,7 +13,6 @@ import pytest
 from repro.core import BitPackedUniVSA, UniVSAConfig, UniVSAModel, extract_artifacts
 from repro.obs import MetricsRegistry, using_registry
 from repro.runtime import (
-    BatchRunner,
     ChaosSpec,
     ResilientBatchRunner,
     RetryPolicy,
@@ -189,7 +188,7 @@ class TestBatchRunnerShm:
         expected = engine.scores(levels)
         registry = MetricsRegistry()
         with using_registry(registry):
-            with BatchRunner(
+            with ResilientBatchRunner(
                 engine, shard_size=4, workers=2, executor="process", shm=True
             ) as runner:
                 assert runner.use_shm
@@ -211,7 +210,7 @@ class TestBatchRunnerShm:
         levels = _levels_batch(8, seed=2)
         registry = MetricsRegistry()
         with using_registry(registry):
-            with BatchRunner(
+            with ResilientBatchRunner(
                 engine, shard_size=4, workers=2, executor="process", shm=False
             ) as runner:
                 np.testing.assert_array_equal(
@@ -219,6 +218,39 @@ class TestBatchRunnerShm:
                 )
         assert registry.counter("batch.shm.segments").value == 0
         assert registry.counter("batch.bytes_pickled").value == levels.nbytes
+
+    def test_unpublishable_operand_plane_falls_back_to_artifacts(
+        self, engine, monkeypatch
+    ):
+        """Where the operand plane cannot be published, process workers
+        bootstrap from pickled artifacts instead — bit-exact, with no
+        plane counted — and a repair rebuilds the pool from the new
+        engine's artifacts."""
+        from repro.runtime import resilience
+
+        def _refuse(*args, **kwargs):
+            raise OSError("no shared memory for the operand plane")
+
+        monkeypatch.setattr(resilience, "OperandPlane", _refuse)
+        other = BitPackedUniVSA(
+            extract_artifacts(UniVSAModel(SHAPE, 3, CONFIG, mask=_mask(), seed=7))
+        )
+        levels = _levels_batch(12, seed=13)
+        registry = MetricsRegistry()
+        with using_registry(registry):
+            with ResilientBatchRunner(
+                engine, shard_size=4, workers=2, executor="process", shm=True
+            ) as runner:
+                np.testing.assert_array_equal(
+                    runner.scores(levels), engine.scores(levels)
+                )
+                assert not runner.use_plane and runner._plane is None
+                runner.replace_engine(other)
+                np.testing.assert_array_equal(
+                    runner.scores(levels), other.scores(levels)
+                )
+        assert registry.counter("batch.shm.plane_published").value == 0
+        assert registry.counter("batch.shm.attach").value == 6  # one per shard
 
 
 class TestResilientShm:
@@ -275,7 +307,7 @@ class TestResilientShm:
         levels = _levels_batch(16, seed=8)
         registry = MetricsRegistry()
         with using_registry(registry):
-            with BatchRunner(
+            with ResilientBatchRunner(
                 engine, shard_size=4, workers=2, executor="process", shm=True
             ) as runner:
                 runner.scores(levels)
@@ -304,7 +336,7 @@ class TestResilientShm:
 
 
 class TestSegmentChurn:
-    """Arena behaviour under the planner's sustained-batch churn:
+    """Arena behaviour under sustained-batch churn:
     same-shape batches must reuse segments (names stay stable so worker
     attach caches keep hitting), crash recovery must discard-and-replace
     without leaking, and an operand-plane generation bump must
@@ -313,7 +345,7 @@ class TestSegmentChurn:
     def test_arena_reuses_segments_across_same_shape_batches(self, engine):
         levels = _levels_batch(12, seed=10)
         expected = engine.scores(levels)
-        with BatchRunner(
+        with ResilientBatchRunner(
             engine, shard_size=4, workers=2, executor="process", shm=True
         ) as runner:
             np.testing.assert_array_equal(runner.scores(levels), expected)
@@ -367,7 +399,7 @@ class TestSegmentChurn:
         assert not np.array_equal(expected_a, expected_b)
         registry = MetricsRegistry()
         with using_registry(registry):
-            with BatchRunner(
+            with ResilientBatchRunner(
                 engine_a, shard_size=4, workers=2, executor="process", shm=True
             ) as runner:
                 np.testing.assert_array_equal(runner.scores(levels), expected_a)
