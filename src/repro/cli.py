@@ -316,7 +316,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_throughput(args: argparse.Namespace) -> int:
-    """Measure packed.classify samples/sec (seed/fast/fused/parallel/shm)."""
+    """Measure packed.classify samples/sec (seed/fast/fused/parallel)."""
     import json
     from pathlib import Path
 
@@ -330,12 +330,10 @@ def _cmd_bench_throughput(args: argparse.Namespace) -> int:
         warmup=args.warmup,
         workers=args.workers,
         shard_size=args.shard_size,
-        executor=args.executor,
         n_train=args.n_train,
         n_test=args.n_test,
         epochs=args.epochs,
         seed=args.seed,
-        shm=False if args.no_shm else None,
     )
     print(report.render())
     json_path = args.json or f"{args.benchmark}-throughput.json"
@@ -475,7 +473,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             engine,
             shard_size=args.shard_size,
             workers=args.workers,
-            executor=args.executor,
         ) as runner:
             # With a saved model, repairs reload the verified archive;
             # a freshly trained model repairs from a pristine in-memory
@@ -558,7 +555,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         policy=policy,
         workers=args.workers,
         shard_size=args.shard_size,
-        executor=args.executor,
         config=_parse_config(args.config, get_benchmark(args.benchmark)),
         n_train=args.n_train,
         n_test=args.n_test,
@@ -716,15 +712,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         if args.spec
         else ChaosSpec.from_env()
     )
-    if chaos.has_crash and args.executor != "process":
-        # Fail before the (expensive) training run: the runner would
-        # reject this spec/executor combination anyway.
-        print(
-            "error: chaos 'crash' hard-kills pool workers and requires "
-            "--executor process",
-            file=sys.stderr,
-        )
-        return 2
     benchmark = get_benchmark(args.benchmark)
     run = run_benchmark(
         args.benchmark,
@@ -753,7 +740,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             engine,
             shard_size=args.shard_size,
             workers=args.workers,
-            executor=args.executor,
             policy=policy,
             chaos=chaos,
         ) as runner:
@@ -836,7 +822,6 @@ def _cmd_fault_sweep(args: argparse.Namespace) -> int:
         predict_fn = None  # artifact-level integer reference path
     else:
         predict_fn = serving_predict_fn(
-            executor=args.executor,
             workers=args.workers,
             shard_size=args.shard_size,
         )
@@ -1185,7 +1170,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench-throughput",
         help="samples/sec of packed.classify: seed vs fast vs fused vs "
-        "worker pool vs zero-copy shm pool",
+        "worker pool",
     )
     bench.add_argument("benchmark")
     bench.add_argument("--batch", type=int, default=256, help="workload batch size")
@@ -1193,15 +1178,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--warmup", type=int, default=1, help="untimed warmup runs")
     bench.add_argument("--workers", type=int, default=None, help="pool size (default: cpu count)")
     bench.add_argument("--shard-size", type=int, default=None, help="samples per shard")
-    bench.add_argument(
-        "--executor", choices=("thread", "process"), default="thread",
-        help="worker pool kind (default thread)",
-    )
-    bench.add_argument(
-        "--no-shm", action="store_true",
-        help="pickle shards to process workers instead of the zero-copy "
-        "shared-memory handoff (the shm engine stage still runs, degraded)",
-    )
     bench.add_argument("--n-train", type=int, default=120)
     bench.add_argument("--n-test", type=int, default=60)
     bench.add_argument("--epochs", type=int, default=2)
@@ -1233,10 +1209,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=None, help="runner pool size")
         p.add_argument(
             "--shard-size", type=int, default=None, help="samples per runner shard"
-        )
-        p.add_argument(
-            "--executor", choices=("thread", "process"), default="thread",
-            help="runner pool kind (default thread)",
         )
         p.add_argument(
             "--config", help="D_H,D_L,D_K,O,Theta model override (default: paper)"
@@ -1351,7 +1323,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser(
         "chaos",
         help="run one resilient batch under an injected-fault spec "
-        "(raise:P,delay:DUR,bitflip:RATE,crash:P) and print the shard report",
+        "(raise:P,delay:DUR,bitflip:RATE) and print the shard report",
     )
     chaos.add_argument("benchmark")
     chaos.add_argument(
@@ -1366,10 +1338,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--retries", type=int, default=None, help="max retries per shard")
     chaos.add_argument("--workers", type=int, default=None, help="pool size")
     chaos.add_argument("--shard-size", type=int, default=None, help="samples per shard")
-    chaos.add_argument(
-        "--executor", choices=("thread", "process"), default="thread",
-        help="worker pool kind (default thread)",
-    )
     chaos.add_argument("--n-train", type=int, default=120)
     chaos.add_argument("--n-test", type=int, default=60)
     chaos.add_argument("--epochs", type=int, default=2)
@@ -1400,10 +1368,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--workers", type=int, default=None, help="pool size")
     sweep.add_argument("--shard-size", type=int, default=None, help="samples per shard")
-    sweep.add_argument(
-        "--executor", choices=("thread", "process"), default="thread",
-        help="worker pool kind (default thread)",
-    )
     sweep.add_argument("--n-train", type=int, default=120)
     sweep.add_argument("--n-test", type=int, default=60)
     sweep.add_argument("--epochs", type=int, default=2)

@@ -132,6 +132,22 @@ def _pack_bytes(vectors: np.ndarray) -> np.ndarray:
     return np.packbits(np.asarray(vectors) > 0, axis=-1, bitorder="little")
 
 
+def _pack_fires(fires: np.ndarray) -> np.ndarray:
+    """Fires plane (T, P, O) 0/1 -> feature words (T, P, ceil(O/64)).
+
+    With whole-byte rows (``O % 8 == 0``) the plane packs flat, which is
+    the same bytes as a per-row pack: ``np.packbits(axis=-1)`` over a
+    short last axis is several times slower.  Other widths keep the
+    per-row pack.
+    """
+    t, p, o = fires.shape
+    if o % 8 == 0:
+        data = np.packbits(fires.reshape(-1), bitorder="little").reshape(t, p, o // 8)
+    else:
+        data = _pack_bytes(fires)
+    return _bytes_to_words(data)
+
+
 def _bytes_to_words(data: np.ndarray) -> np.ndarray:
     """Bytes (..., n) -> uint64 words (..., ceil(n/8)), little-endian."""
     n_bytes = data.shape[-1]
@@ -311,8 +327,8 @@ class BitPackedUniVSA:
         tables and window — bit-exact with each other.  The compiled
         kernel is used unless ``REPRO_CC`` disables it, the build fails,
         or it disagrees with the matcher on a seeded volume of this
-        engine's shape (a self-test at every bind: build, worker attach,
-        repair); then the engine keeps the matcher and both
+        engine's shape (a self-test at every bind: build and repair);
+        then the engine keeps the matcher and both
         ``kernel_info()`` and :attr:`conv_unavailable_reason` record why.
         Without tables (the legacy kernel set, the reference
         configuration) the set's own word-level matcher runs, and nothing
@@ -438,7 +454,7 @@ class BitPackedUniVSA:
                         fires = self._cc_conv(padded)  # (T, P, O) uint8 0/1
                     else:
                         fires = self._numpy_fires(padded)
-                feature_words = _bytes_to_words(_pack_bytes(fires))
+                    feature_words = _pack_fires(fires)
             else:
                 feature_words = _bytes_to_words(
                     volume_bytes.reshape(stop - start, self.positions, -1)
@@ -483,7 +499,8 @@ class BitPackedUniVSA:
 
     @stage_timer("packed.biconv")
     def _conv_stage_fast(self, volume_bytes: np.ndarray) -> np.ndarray:
-        """Packed BiConv: channel bytes (B, W, L, nb) -> fires (B, P, O) bool."""
+        """Packed BiConv: channel bytes (B, W, L, nb) -> feature words
+        (B, P, ceil(O/64)) of the fires."""
         kernel = self.artifacts.kernel
         o, _, k, _ = kernel.shape
         b, h, w, nb = volume_bytes.shape
@@ -512,7 +529,7 @@ class BitPackedUniVSA:
             fires[start:stop] = np.where(
                 flips, acc <= self._conv_match_lo, acc >= self._conv_match_hi
             )
-        return fires
+        return _pack_fires(fires)
 
     @stage_timer("packed.encode")
     def _encode_stage_fast(self, feature_words: np.ndarray) -> np.ndarray:
@@ -538,8 +555,7 @@ class BitPackedUniVSA:
             volume_bytes = self._dvp_bytes(levels)
         get_registry().counter("packed.samples").add(volume_bytes.shape[0])
         if self._kernel_packed is not None:
-            fires = self._conv_stage_fast(volume_bytes)
-            feature_words = _bytes_to_words(_pack_bytes(fires))
+            feature_words = self._conv_stage_fast(volume_bytes)
         else:
             b = volume_bytes.shape[0]
             feature_words = _bytes_to_words(
@@ -660,93 +676,6 @@ class BitPackedUniVSA:
             if isinstance(array, np.ndarray):
                 operands[f"engine.{attr.lstrip('_')}"] = array
         return operands
-
-    #: Small integer attributes shipped alongside the operand arrays so a
-    #: reconstructed engine needs no recomputation at all.
-    _OPERAND_SCALARS = (
-        "_conv_bits",
-        "_enc_bits",
-        "_sim_bits",
-        "_channels",
-        "_volume_channels",
-    )
-
-    def operand_state(self) -> tuple[dict[str, np.ndarray], dict]:
-        """The engine's full resident state as ``(arrays, meta)``.
-
-        ``arrays`` is exactly :meth:`resident_operands` — every ndarray
-        inference reads at serve time, artifact and derived alike.
-        ``meta`` carries the non-array remainder (mode, tile budget,
-        config, packed-bit dimensions).  Together they are sufficient for
-        :meth:`from_operand_state` to rebuild a bit-identical engine with
-        **zero** recomputation, which is what lets a worker attach an
-        :class:`repro.runtime.shm.OperandPlane` instead of unpickling and
-        re-deriving the operands per process.
-        """
-        meta = {
-            "mode": self.mode,
-            "conv_tile_mb": self.conv_tile_mb,
-            "input_shape": tuple(self.input_shape),
-            "config": self.artifacts.config,
-            "artifacts_metadata": dict(self.artifacts.metadata),
-            "scalars": {
-                name: getattr(self, name)
-                for name in self._OPERAND_SCALARS
-                if hasattr(self, name)
-            },
-        }
-        return dict(self.resident_operands()), meta
-
-    @classmethod
-    def from_operand_state(
-        cls, arrays: dict[str, np.ndarray], meta: dict
-    ) -> "BitPackedUniVSA":
-        """Reconstruct an engine around externally-owned operand views.
-
-        The inverse of :meth:`operand_state`: artifact arrays and derived
-        packed operands are adopted as-is (typically read-only zero-copy
-        views of a shared-memory plane), so construction does no packing,
-        inverting, threshold folding or table building.  Only the fused
-        conv backends are rebound, over the adopted tables and windows.
-        Bit-exact with a from-artifacts construction by the property
-        suite.
-        """
-        def _artifact(name: str):
-            return arrays.get(f"artifacts.{name}")
-
-        artifacts = UniVSAArtifacts(
-            config=meta["config"],
-            input_shape=tuple(meta["input_shape"]),
-            mask=_artifact("mask"),
-            value_high=_artifact("value_high"),
-            value_low=_artifact("value_low"),
-            kernel=_artifact("kernel"),
-            feature_vectors=_artifact("feature_vectors"),
-            class_vectors=_artifact("class_vectors"),
-            conv_thresholds=_artifact("conv_thresholds"),
-            conv_flips=_artifact("conv_flips"),
-            metadata=dict(meta.get("artifacts_metadata", {})),
-        )
-        self = cls.__new__(cls)
-        self.mode = meta["mode"]
-        self.conv_tile_mb = float(meta["conv_tile_mb"])
-        self.artifacts = artifacts
-        self.input_shape = artifacts.input_shape
-        self.positions = artifacts.positions
-        self._kernel_packed = None
-        self._value_bytes_low = None
-        for name, value in meta.get("scalars", {}).items():
-            setattr(self, name, value)
-        for key, array in arrays.items():
-            if key.startswith("engine."):
-                setattr(self, "_" + key[len("engine.") :], array)
-        if self.mode == "fused":
-            if artifacts.kernel is not None:
-                self._bind_conv()
-            else:
-                self._fused_matcher = None
-                self._cc_conv = None
-        return self
 
     def sibling(self, mode: str, conv_tile_mb: float | None = None) -> "BitPackedUniVSA":
         """An engine over the *same* artifacts in a different mode.

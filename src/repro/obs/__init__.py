@@ -19,13 +19,12 @@ Five layers, all dependency-free and all zero-overhead until enabled:
   ``benchmarks/results/ledger.jsonl``; ``python -m repro obs compare``
   diffs the latest run against a baseline with per-metric thresholds and
   folds the ledger into ``BENCH_<task>.json`` trajectory files.
-* **Worker telemetry** (:mod:`.telemetry`): pool workers record into
-  private registries installed by the pool initializer, ship
-  reset-after-snapshot deltas back on each result, and the parent merges
-  them — counters sum, histograms merge exactly, gauges are tagged
-  per-worker (``name.w<pid>``) — so process-executor runs surface real
-  worker-side stage time with at-most-once accounting even across pool
-  crashes.
+* **Worker telemetry** (:mod:`.telemetry`): the search engine's
+  process-pool workers record into private registries installed by the
+  pool initializer, ship reset-after-snapshot deltas back on each
+  result, and the parent merges them — counters sum, histograms merge
+  exactly, gauges are tagged per-worker (``name.w<pid>``) — so worker
+  time is accounted at most once even across pool crashes.
 * **SLO tracking** (:mod:`.slo`): a latency/availability objective
   (``REPRO_SLO_*`` env) with rolling-window error-budget accounting and
   fast/slow burn rates, published as ``slo.*`` gauges into the registry

@@ -36,7 +36,6 @@ __all__ = [
     "RESILIENCE_NAMESPACE",
     "SEARCH_NAMESPACE",
     "SERVE_NAMESPACE",
-    "SHM_NAMESPACE",
     "SLO_NAMESPACE",
     "TRAFFIC_NAMESPACE",
     "RunRecord",
@@ -92,13 +91,6 @@ SEARCH_NAMESPACE = "search."
 #: its admission-control accounting — shed requests included — without
 #: the bench threading the counts through by hand.
 SERVE_NAMESPACE = "serve."
-
-#: Counter namespace the zero-copy shard handoff records into
-#: (``batch.shm.{segments,bytes_shared,attach}`` plus the non-shm path's
-#: ``batch.bytes_pickled``).  Harvested into every record, so a serve or
-#: chaos ledger entry shows whether batches moved by name or by pickle —
-#: and how many segments a crash-recovery run had to re-share.
-SHM_NAMESPACE = "batch.shm."
 
 #: Counter/gauge namespace the fused single-pass datapath records into
 #: (``packed.fused.{tiles,tile_size}`` and the published analytic
@@ -293,7 +285,6 @@ def record_run(
         harvested.update(registry.gauge_values(SLO_NAMESPACE))
         harvested.update(registry.counter_values(INTEGRITY_NAMESPACE))
         harvested.update(registry.gauge_values(INTEGRITY_NAMESPACE))
-        harvested.update(registry.counter_values(SHM_NAMESPACE))
         harvested.update(registry.counter_values(FUSED_NAMESPACE))
         harvested.update(registry.gauge_values(FUSED_NAMESPACE))
         harvested.update(registry.gauge_values(TRAFFIC_NAMESPACE))

@@ -29,9 +29,8 @@ a small, explicit protocol:
    delta (reset-after-ship is idempotent); a worker that picks up none
    loses its residue, matching the lost-future semantics above.
 
-The protocol is exercised by ``runtime/resilience.py`` and
-``search/engine.py``; its determinism
-contract (serial ≡ thread ≡ process merged totals) is pinned by
+The co-design search engine's process pool (``search/engine.py``) is
+the protocol's one user; the merge rules are pinned by
 ``tests/obs/test_telemetry.py``.
 """
 

@@ -24,8 +24,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "serving_predict_fn",
         ),
         ".chaos": ("ChaosSpec", "ChaosError", "chaos_context", "chaos_kernels", "parse_chaos"),
-        # shared-memory handoff
-        ".shm": ("SharedArray", "attach_view", "leaked_segments", "resolve_shm"),
         # artifact integrity / self-healing
         ".integrity": (
             "ArtifactCorruptionError",

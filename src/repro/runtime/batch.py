@@ -2,9 +2,10 @@
 
 :func:`resolve_workers` turns an explicit count, ``REPRO_WORKERS`` or the
 CPU count into a pool size, and :class:`WorkerPool` owns one lazily built
-executor with crash replacement.  The batch runner
+executor with crash replacement.  The batch runner's thread pool
 (:class:`repro.runtime.resilience.ResilientBatchRunner`) and the co-design
-search engine (:mod:`repro.search.engine`) both build their pools on it.
+search engine's process pool (:mod:`repro.search.engine`) both build on
+it.
 """
 
 from __future__ import annotations
@@ -34,17 +35,13 @@ class WorkerPool:
 
     Wraps a zero-argument ``factory`` returning a fresh
     :class:`concurrent.futures.Executor`.  The executor is built on first
-    :meth:`ensure`, discarded wholesale by :meth:`replace` (the recovery
-    path after a crashed process worker poisons its pool — see
-    :meth:`ResilientBatchRunner._replace_pool`), and torn down by
-    :meth:`close`.  Shared by the batch runner and the co-design search
-    engine (:mod:`repro.search.engine`), so both layers get the same
-    pool lifecycle and recovery semantics.
+    :meth:`ensure`, discarded wholesale by :meth:`replace` (the search
+    engine's recovery path after a crashed process worker poisons its
+    pool), and torn down by :meth:`close`.
 
     All lifecycle transitions are serialized by an internal lock:
     pipelined serving runs several batches concurrently through one
-    runner, and two collectors recovering from the same crashed pool
-    must end up sharing one replacement instead of leaking an executor.
+    runner, and two of them must never build two executors.
     """
 
     def __init__(self, factory) -> None:
@@ -64,22 +61,13 @@ class WorkerPool:
                 self._executor = self._factory()
             return self._executor
 
-    def replace(self, stale: Executor | None = None) -> Executor:
+    def replace(self) -> Executor:
         """Discard the (possibly broken) executor and build a fresh one.
 
         ``shutdown`` on a broken pool only reaps what is left; it never
-        blocks on lost work, so replacement is safe mid-batch.  Passing
-        the ``stale`` executor the caller saw break makes concurrent
-        recoveries idempotent: if another thread already swapped it out,
-        the live replacement is returned instead of being discarded too.
+        blocks on lost work, so replacement is safe mid-batch.
         """
         with self._lock:
-            if (
-                stale is not None
-                and self._executor is not None
-                and self._executor is not stale
-            ):
-                return self._executor
             if self._executor is not None:
                 self._executor.shutdown(wait=False, cancel_futures=True)
                 self._executor = None

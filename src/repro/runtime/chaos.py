@@ -1,21 +1,14 @@
 """Chaos fault injection for the serving path.
 
 The resilience layer (:mod:`repro.runtime.resilience`) claims the batch
-runtime survives worker exceptions, latency spikes, process crashes, and
-transient packed-word corruption.  This module is the harness that makes
+runtime survives worker exceptions, latency spikes, and transient
+packed-word corruption.  This module is the harness that makes
 those claims testable: a :class:`ChaosSpec` describes a fault workload
 (``REPRO_CHAOS="raise:0.05,delay:10ms,bitflip:1e-4"``) and the runner
 opens a :func:`chaos_context` around every shard attempt, which
 
 * raises :class:`ChaosError` with probability ``raise``,
-* sleeps ``delay`` before the shard computes,
-* hard-kills the worker process with probability ``crash`` — but only
-  inside a process-pool worker (marked by :func:`mark_process_worker`;
-  the parent sees ``BrokenProcessPool``).  In the serving process
-  itself — thread executors, single-shard inline runs, fallback
-  attempts — the crash draw is still consumed, so decision sequences
-  stay aligned across executor kinds, but the kill is skipped: chaos
-  must never take down the orchestrator it is testing.  And
+* sleeps ``delay`` before the shard computes, and
 * flips packed words at the kernel seam at per-bit rate ``bitflip``
   while the shard computes (single-event-upset semantics, the transient
   sibling of :func:`repro.hw.faults.inject_bit_flips`'s stored-memory
@@ -29,8 +22,8 @@ and ``truncate`` damages every archive ``UniVSAArtifacts.save`` writes
 (exercising the torn-store detection of the checksummed loader).
 
 Every decision is drawn from ``np.random.default_rng((seed, shard,
-attempt))`` — deterministic per shard *attempt* regardless of thread or
-process scheduling, so a retried shard re-rolls its fate and a chaos run
+attempt))`` — deterministic per shard *attempt* regardless of thread
+scheduling, so a retried shard re-rolls its fate and a chaos run
 is exactly reproducible under a fixed seed.
 
 Bit flips are injected by swapping in a wrapped :class:`KernelSet`
@@ -58,29 +51,8 @@ __all__ = [
     "chaos_context",
     "chaos_kernels",
     "flip_words",
-    "in_process_worker",
-    "mark_process_worker",
     "parse_chaos",
 ]
-
-_process_worker = False
-
-
-def mark_process_worker(flag: bool = True) -> None:
-    """Mark this process as a pool worker, arming the ``crash`` fault.
-
-    Called from the process-pool initializer
-    (:func:`repro.runtime.resilience._worker_init`); nothing
-    ever sets it in the serving process, so a crash draw there can never
-    ``os._exit`` the orchestrator.
-    """
-    global _process_worker
-    _process_worker = flag
-
-
-def in_process_worker() -> bool:
-    """True when this process has been marked as a pool worker."""
-    return _process_worker
 
 
 class ChaosError(RuntimeError):
@@ -100,26 +72,24 @@ def _parse_duration(text: str) -> float:
 class ChaosSpec:
     """One parsed chaos workload.
 
-    ``raise_rate`` / ``crash_rate`` / ``bitflip_rate`` are probabilities
-    (per shard attempt; per bit for ``bitflip``); ``delay_s`` is a fixed
-    latency added to every shard attempt.  The ``*_on`` sets pin faults
-    to exact ``(shard, attempt)`` pairs — the surgical injection the
-    regression tests use ("crash the middle shard's first attempt").
+    ``raise_rate`` / ``bitflip_rate`` are probabilities (per shard
+    attempt; per bit for ``bitflip``); ``delay_s`` is a fixed latency
+    added to every shard attempt.  The ``*_on`` sets pin faults to exact
+    ``(shard, attempt)`` pairs — the surgical injection the regression
+    tests use ("fail the middle shard's first attempt").
     """
 
     raise_rate: float = 0.0
     delay_s: float = 0.0
     bitflip_rate: float = 0.0
-    crash_rate: float = 0.0
     seed: int = 0
     raise_on: frozenset = field(default_factory=frozenset)
     delay_on: frozenset = field(default_factory=frozenset)
-    crash_on: frozenset = field(default_factory=frozenset)
     corrupt_rate: float = 0.0
     truncate: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("raise_rate", "crash_rate", "bitflip_rate", "corrupt_rate"):
+        for name in ("raise_rate", "bitflip_rate", "corrupt_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
@@ -133,28 +103,16 @@ class ChaosSpec:
             self.raise_rate
             or self.delay_s
             or self.bitflip_rate
-            or self.crash_rate
             or self.corrupt_rate
             or self.truncate
             or self.raise_on
             or self.delay_on
-            or self.crash_on
         )
 
     @property
     def targeted(self) -> bool:
         """True when faults are pinned to explicit (shard, attempt) pairs."""
-        return bool(self.raise_on or self.delay_on or self.crash_on)
-
-    @property
-    def has_crash(self) -> bool:
-        """True when any ``crash`` fault is configured.
-
-        Crash kills only process-pool workers, so runners reject a
-        crash-bearing spec on any other executor rather than let the
-        directive silently do nothing.
-        """
-        return bool(self.crash_rate or self.crash_on)
+        return bool(self.raise_on or self.delay_on)
 
     def as_dict(self) -> dict:
         """JSON-friendly view (reports / ledger records)."""
@@ -162,7 +120,6 @@ class ChaosSpec:
             "raise": self.raise_rate,
             "delay_s": self.delay_s,
             "bitflip": self.bitflip_rate,
-            "crash": self.crash_rate,
             "corrupt": self.corrupt_rate,
             "truncate": self.truncate,
             "seed": self.seed,
@@ -176,8 +133,7 @@ class ChaosSpec:
 
         Comma-separated ``directive:value`` pairs; directives are
         ``raise`` (probability), ``delay`` (duration, e.g. ``10ms``),
-        ``bitflip`` (per-bit rate), ``crash`` (probability), ``corrupt``
-        (probability per micro-batch of flipping bits in resident
+        ``bitflip`` (per-bit rate), ``corrupt`` (probability per micro-batch of flipping bits in resident
         artifact memory — see :mod:`repro.runtime.integrity`),
         ``truncate`` (bare flag: damage archives as they are saved), and
         ``seed`` (overrides the ``seed`` argument).  Empty/None parses
@@ -205,8 +161,6 @@ class ChaosSpec:
                 values["delay_s"] = _parse_duration(raw)
             elif name == "bitflip":
                 values["bitflip_rate"] = float(raw)
-            elif name == "crash":
-                values["crash_rate"] = float(raw)
             elif name == "corrupt":
                 values["corrupt_rate"] = float(raw)
             elif name == "truncate":
@@ -216,7 +170,7 @@ class ChaosSpec:
             else:
                 raise ValueError(
                     f"unknown chaos directive {name!r}; expected "
-                    "raise/delay/bitflip/crash/corrupt/truncate/seed"
+                    "raise/delay/bitflip/corrupt/truncate/seed"
                 )
         values.setdefault("seed", seed)
         return cls(**values)
@@ -255,25 +209,13 @@ class ShardChaos:
         self.rng = np.random.default_rng((spec.seed, shard, attempt))
 
     def fire_entry_faults(self) -> None:
-        """Crash / delay / raise, in that order, at shard entry.
+        """Delay, then raise, at shard entry.
 
         One rng drives every probabilistic draw, in a fixed order, so the
         decision sequence is a pure function of (seed, shard, attempt).
         """
         spec = self.spec
         key = (self.shard, self.attempt)
-        # The crash draw is always consumed so the later raise/bitflip
-        # draws land identically whether or not this process is a pool
-        # worker, but the kill itself is gated: only a process marked by
-        # mark_process_worker() may die — an inline or fallback attempt
-        # in the serving process skips it.
-        crash = key in spec.crash_on or (
-            spec.crash_rate and self.rng.random() < spec.crash_rate
-        )
-        if crash and in_process_worker():
-            # A simulated hard worker death: no exception, no cleanup —
-            # exactly what a segfaulted or OOM-killed worker looks like.
-            os._exit(1)
         if key in spec.delay_on or spec.delay_s:
             time.sleep(spec.delay_s if spec.delay_s else 0.05)
         if key in spec.raise_on or (
@@ -319,7 +261,7 @@ def active_shard_chaos() -> ShardChaos | None:
 class chaos_context:
     """Install per-shard chaos for the ``with`` body (current thread).
 
-    Entry fires the crash/delay/raise faults; while the body runs the
+    Entry fires the delay/raise faults; while the body runs the
     thread-local state makes :func:`chaos_kernels` wrappers flip packed
     words.  A disabled spec costs one attribute write.
     """
@@ -361,9 +303,8 @@ def chaos_kernels(base: KernelSet | None = None) -> KernelSet:
     corrupted at the context's ``bitflip`` rate first.  Without an open
     context the wrapper forwards untouched, so installing it globally is
     safe around concurrent non-chaos work.  An already-wrapped set is
-    returned as-is: a fork-spawned pool worker inherits the parent's
-    installed chaos kernels, and wrapping twice would double the
-    effective flip rate.
+    returned as-is: wrapping twice would double the effective flip
+    rate.
     """
     if base is None:
         base = get_kernels()

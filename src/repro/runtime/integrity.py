@@ -503,8 +503,8 @@ class IntegrityScrubber:
     .BitPackedUniVSA` or a runner exposing ``.engine`` and
     ``.replace_engine`` (:class:`~repro.runtime.resilience
     .ResilientBatchRunner`) — with a runner, a repair hot-swaps the
-    rebuilt engine into live serving (worker pools rebuilt, legacy
-    fallback reset) without dropping a single accepted request.
+    rebuilt engine into live serving (legacy fallback reset) without
+    dropping a single accepted request.
 
     ``source`` selects where a repair gets truth from: a path repairs
     from the verified on-disk archive (``UniVSAArtifacts.load(...,

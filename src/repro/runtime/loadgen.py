@@ -267,7 +267,6 @@ class ServeBenchReport:
     policy: ServePolicy
     workers: int
     shard_size: int | None
-    executor: str
     inline_per_s: float
     inline_p50_ms: float
     inline_p99_ms: float
@@ -349,7 +348,6 @@ class ServeBenchReport:
             },
             "workers": self.workers,
             "shard_size": self.shard_size,
-            "executor": self.executor,
             "inline_per_s": self.inline_per_s,
             "inline_p50_ms": self.inline_p50_ms,
             "inline_p99_ms": self.inline_p99_ms,
@@ -373,7 +371,7 @@ class ServeBenchReport:
                 f"deadline {self.policy.deadline_ms:g} ms, "
                 f"queue<={self.policy.max_queue}"
             ),
-            "runner": f"{self.workers} workers ({self.executor})",
+            "runner": f"{self.workers} workers",
             "inline single-sample": (
                 f"{self.inline_per_s:.1f}/s "
                 f"(p50 {self.inline_p50_ms:.2f} ms, p99 {self.inline_p99_ms:.2f} ms)"
@@ -473,7 +471,6 @@ def bench_serve(
     policy: ServePolicy | None = None,
     workers: int | None = None,
     shard_size: int | None = None,
-    executor: str = "thread",
     config=None,
     n_train: int = 120,
     n_test: int = 60,
@@ -542,7 +539,6 @@ def bench_serve(
             engine,
             shard_size=shard_size,
             workers=workers,
-            executor=executor,
             policy=RetryPolicy.from_env(),
             chaos=chaos,
         ) as runner:
@@ -587,7 +583,6 @@ def bench_serve(
         policy=policy,
         workers=actual_workers,
         shard_size=shard_size,
-        executor=executor,
         inline_per_s=inline_per_s,
         inline_p50_ms=inline_p50_ms,
         inline_p99_ms=inline_p99_ms,

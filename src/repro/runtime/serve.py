@@ -704,9 +704,8 @@ class MicroBatchServer:
         Queue depth, in-flight batch size, the serving policy, the engine
         the runner serves with (mode, conv backend and, off the compiled
         kernel, why), the SLO error-budget state, and the active
-        registry's full counter / gauge / stage-summary snapshot — which,
-        thanks to the worker harvest, includes worker-side ``packed.*``
-        stage time and per-worker kernel gauges.
+        registry's full counter / gauge / stage-summary snapshot, which
+        includes the pool threads' ``packed.*`` stage time.
         """
         registry = get_registry()
         state = snapshot(registry)
@@ -817,8 +816,8 @@ async def serve_tcp(
     answered inline, without touching the request queue:
 
     * ``{"op": "metrics"}`` — full operational snapshot (queue depth,
-      in-flight batch, flush counters, per-stage p50/p95/p99 including
-      worker-merged totals, SLO error-budget state, scrubber state); add
+      in-flight batch, flush counters, per-stage p50/p95/p99, SLO
+      error-budget state, scrubber state); add
       ``"format": "prom"`` for Prometheus text exposition in ``"prom"``.
     * ``{"op": "health"}`` — cheap liveness probe with queue depth and
       budget burn.

@@ -2,7 +2,7 @@
 
 ``bench_throughput`` trains a small model on a registered benchmark and
 measures samples/sec of a fixed-size ``packed.classify`` workload on
-five engine configurations:
+four engine configurations:
 
 * ``seed`` — the legacy stage pipeline on the legacy bit kernels
   (multiply-accumulate pack + LUT popcount), single-threaded: the seed
@@ -13,23 +13,14 @@ five engine configurations:
 * ``fused`` — the single-pass tiled pipeline (byte-LUT conv match,
   cache-resident intermediates), single-threaded: the data-movement win
   in isolation;
-* ``parallel`` — the fast engine under a
-  :class:`~repro.runtime.resilience.ResilientBatchRunner` worker pool
-  with the handoff pinned to by-value (``shm=False``): the PR 3
-  deployment path, kept as the continuity baseline — for process
-  executors that means pickle-per-shard, exactly what the shm stage
-  replaces.
+* ``parallel`` — the fast engine under the
+  :class:`~repro.runtime.resilience.ResilientBatchRunner` thread pool.
   ``REPRO_CHAOS`` turns the same bench into a chaos smoke test: faults
   are injected at the shard seam and the report must still account for
-  every sample;
-* ``shm`` — the fused engine under a **process** pool with zero-copy
-  shared-memory shard handoff: the full deployment path this PR builds.
-  The same chaos spec applies, so a crash-chaos bench exercises pool
-  replacement + segment re-share end to end.
+  every sample.
 
 The report also carries each mode's analytic memory-traffic model
-(``traffic``) and the shm run's handoff counters, which the ledger
-record surfaces as ``bytes_shared`` / ``bytes_pickled_estimate`` /
+(``traffic``), which the ledger record surfaces as
 ``intermediates_peak_mb`` so ``repro obs compare`` can gate
 data-movement regressions alongside throughput.
 
@@ -91,7 +82,6 @@ class ThroughputReport:
     repeats: int
     workers: int
     shard_size: int | None
-    executor: str
     accuracy: float
     kernels: dict
     engines: dict[str, EngineSample]
@@ -100,7 +90,6 @@ class ThroughputReport:
     resilience: dict = field(default_factory=dict)  # BatchReport of the last run
     chaos: dict = field(default_factory=dict)  # active ChaosSpec (empty = off)
     prediction_mismatches: int = 0  # non-excluded divergences (bitflip chaos only)
-    shm: dict = field(default_factory=dict)  # shm stage: handoff counters + report
     traffic: dict = field(default_factory=dict)  # per-mode analytic roofline models
 
     @property
@@ -110,15 +99,6 @@ class ThroughputReport:
         if seed is None or best is None or seed.samples_per_s <= 0:
             return 0.0
         return best.samples_per_s / seed.samples_per_s
-
-    @property
-    def speedup_shm_vs_parallel(self) -> float:
-        """The zero-copy + fused deployment path vs the PR 3 parallel path."""
-        parallel = self.engines.get("parallel")
-        shm = self.engines.get("shm")
-        if parallel is None or shm is None or parallel.samples_per_s <= 0:
-            return 0.0
-        return shm.samples_per_s / parallel.samples_per_s
 
     def ledger_metrics(self) -> dict[str, float]:
         """The flat metric dict one ledger record carries."""
@@ -131,13 +111,6 @@ class ThroughputReport:
         for name, engine in self.engines.items():
             suffix = "" if name == "parallel" else f"_{name}"
             metrics[f"samples_per_s{suffix}"] = engine.samples_per_s
-        if "shm" in self.engines:
-            metrics["speedup_shm_vs_parallel"] = self.speedup_shm_vs_parallel
-        if self.shm:
-            metrics["bytes_shared"] = float(self.shm.get("bytes_shared", 0))
-            metrics["bytes_pickled_estimate"] = float(
-                self.shm.get("bytes_pickled_estimate", 0)
-            )
         fused_model = self.traffic.get("fused")
         if fused_model:
             metrics["intermediates_peak_mb"] = fused_model["peak_intermediate_mb"]
@@ -169,7 +142,6 @@ class ThroughputReport:
             "repeats": self.repeats,
             "workers": self.workers,
             "shard_size": self.shard_size,
-            "executor": self.executor,
             "accuracy": self.accuracy,
             "kernels": self.kernels,
             "speedup_vs_seed": self.speedup_vs_seed,
@@ -177,7 +149,6 @@ class ThroughputReport:
             "resilience": self.resilience,
             "chaos": self.chaos,
             "prediction_mismatches": self.prediction_mismatches,
-            "shm": self.shm,
             "traffic": self.traffic,
         }
 
@@ -186,7 +157,7 @@ class ThroughputReport:
 
         seed = self.engines.get("seed")
         rows = []
-        for name in ("seed", "fast", "fused", "parallel", "shm"):
+        for name in ("seed", "fast", "fused", "parallel"):
             engine = self.engines.get(name)
             if engine is None:
                 continue
@@ -206,19 +177,12 @@ class ThroughputReport:
         fields = {
             "benchmark": self.benchmark,
             "batch / repeats": f"{self.batch} / {self.repeats}",
-            "workers (executor)": f"{self.workers} ({self.executor})",
+            "workers": self.workers,
             "kernels": f"{self.kernels['set']} "
             f"(pack={self.kernels['pack']}, popcount={self.kernels['popcount']})",
             "accuracy": f"{self.accuracy:.4f}",
             "speedup vs seed": f"{self.speedup_vs_seed:.2f}x",
         }
-        if "shm" in self.engines:
-            fields["shm+fused vs parallel"] = f"{self.speedup_shm_vs_parallel:.2f}x"
-        if self.shm:
-            fields["shm handoff"] = (
-                f"{self.shm.get('bytes_shared', 0)} B shared vs "
-                f"{self.shm.get('bytes_pickled_estimate', 0)} B pickled/batch"
-            )
         if self.chaos:
             fields["chaos"] = ", ".join(
                 f"{k}={v}" for k, v in self.chaos.items() if v
@@ -258,12 +222,10 @@ def bench_throughput(
     warmup: int = 1,
     workers: int | None = None,
     shard_size: int | None = None,
-    executor: str = "thread",
     n_train: int = 120,
     n_test: int = 60,
     epochs: int = 2,
     seed: int = 0,
-    shm: bool | None = None,
 ) -> ThroughputReport:
     """Train a small model on ``benchmark`` and measure samples/sec."""
     from repro.core.inference import BitPackedUniVSA
@@ -327,7 +289,7 @@ def bench_throughput(
     )
     predictions["fused"] = scores.argmax(axis=1)
 
-    # parallel: fast engine under the fault-tolerant worker pool.  Chaos
+    # parallel: fast engine under the fault-tolerant thread pool.  Chaos
     # comes from the environment (REPRO_CHAOS) so the same bench doubles
     # as the chaos-smoke entrypoint: under injected faults the runner must
     # still return an order-preserving batch with a populated report.
@@ -339,13 +301,8 @@ def bench_throughput(
         fast_engine,
         shard_size=shard_size,
         workers=workers,
-        executor=executor,
         policy=RetryPolicy.from_env(),
         chaos=chaos,
-        # Pinned to the by-value handoff: this stage is the pre-zero-copy
-        # baseline the shm stage is judged against (no-op for threads,
-        # pickle-per-shard for process executors).
-        shm=False,
     ) as runner:
         publish_kernel_metrics(parallel_registry)
         best, mean, result = _time_engine(runner.run, levels, repeats, warmup)
@@ -357,41 +314,6 @@ def bench_throughput(
     report = result.report
     predictions["parallel"] = result.predictions
 
-    # shm: the fused engine under a process pool with zero-copy handoff —
-    # the deployment path this bench exists to certify.  Runs under the
-    # same chaos spec, so a crash bench exercises pool replacement +
-    # segment re-share with the report still accounting for every sample.
-    shm_registry = MetricsRegistry()
-    with using_kernels("fast"), using_registry(shm_registry), ResilientBatchRunner(
-        fused_engine,
-        shard_size=shard_size,
-        workers=workers,
-        executor="process",
-        policy=RetryPolicy.from_env(),
-        chaos=chaos,
-        shm=shm,
-    ) as runner:
-        publish_kernel_metrics(shm_registry)
-        best, mean, shm_result = _time_engine(runner.run, levels, repeats, warmup)
-    shm_stages = stage_breakdown(shm_registry, prefix="packed.")
-    shm_stages.update(stage_breakdown(shm_registry, prefix="batch."))
-    engines["shm"] = EngineSample(
-        "shm", batch / best, best, mean, repeats, stages=shm_stages
-    )
-    shm_report = shm_result.report
-    predictions["shm"] = shm_result.predictions
-    runs_timed = max(0, warmup) + max(1, repeats)
-    shm_info = {
-        # Counters accumulate over warmup + timed runs; per-batch numbers
-        # are what the roofline compares against the pickled estimate.
-        "bytes_shared": int(
-            shm_registry.counter("batch.shm.bytes_shared").value // max(1, runs_timed)
-        ),
-        "segments": int(shm_registry.counter("batch.shm.segments").value),
-        "attach": int(shm_registry.counter("batch.shm.attach").value),
-        "bytes_pickled_estimate": int(levels.nbytes),
-        "report": shm_report.as_dict(),
-    }
     traffic = {
         mode: BitPackedUniVSA(run.artifacts, mode=mode).traffic_model(batch=batch)
         for mode in ("legacy", "fast", "fused")
@@ -400,19 +322,16 @@ def bench_throughput(
     # A throughput number from a non-bit-exact engine would be garbage:
     # every engine must classify the workload identically.  Samples a
     # resilient runner excluded (quarantined or failed shards) carry the
-    # sentinel label and are compared against nothing — each parallel
-    # stage is masked by its own report; under bitflip chaos divergence
+    # sentinel label and are compared against nothing — the parallel
+    # stage is masked by its report; under bitflip chaos divergence
     # is the injected corruption itself, so it is counted and reported
     # instead of asserted.
     included = np.ones(batch, dtype=bool)
     included[report.excluded] = False
-    shm_included = np.ones(batch, dtype=bool)
-    shm_included[shm_report.excluded] = False
     masks = {
         "fast": included,
         "fused": np.ones(batch, dtype=bool),
         "parallel": included,
-        "shm": shm_included,
     }
     mismatches = 0
     for name, mask in masks.items():
@@ -438,7 +357,6 @@ def bench_throughput(
         repeats=repeats,
         workers=workers,
         shard_size=shard_size,
-        executor=executor,
         accuracy=accuracy,
         kernels=kernel_info(),
         engines=engines,
@@ -447,6 +365,5 @@ def bench_throughput(
         resilience=report.as_dict(),
         chaos=chaos.as_dict() if chaos.enabled else {},
         prediction_mismatches=mismatches,
-        shm=shm_info,
         traffic=traffic,
     )

@@ -262,14 +262,16 @@ def test_engine_equivalence_property(seed):
     ``gamma == 0`` channels, whose thresholds fold to ±inf), batch sizes
     and tile budgets: fast == fused (compiled conv and NumPy matcher) ==
     legacy == integer reference.  ``d_high`` up to 12 puts two bytes in
-    every tap, which the compiled kernel builds separately."""
+    every tap, which the compiled kernel builds separately; byte-aligned
+    ``out_channels`` take the flat fire pack."""
     gen = np.random.default_rng(seed)
     d_high = int(gen.integers(1, 13))
     config = UniVSAConfig(
         d_high=d_high,
         d_low=int(gen.integers(1, d_high + 1)),
         kernel_size=int(gen.choice([1, 3, 5])),
-        out_channels=int(gen.integers(2, 10)),
+        # 8 and 16 are the byte-aligned widths whose fires pack flat.
+        out_channels=int(gen.choice([2, 3, 4, 5, 6, 7, 8, 9, 16])),
         voters=int(gen.integers(1, 3)),
         levels=8,
         use_batchnorm=bool(gen.integers(0, 2)),

@@ -30,7 +30,6 @@ class TestParser:
         args = build_parser().parse_args(["bench-throughput", "bci-iii-v"])
         assert args.command == "bench-throughput"
         assert args.batch == 256
-        assert args.executor == "thread"
 
     def test_obs_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -43,7 +42,6 @@ class TestParser:
         assert args.command == "chaos"
         assert args.spec == "raise:0.1,delay:5ms"
         assert args.batch == 256
-        assert args.executor == "thread"
 
     def test_fault_sweep_registered(self):
         args = build_parser().parse_args(["fault-sweep", "bci-iii-v"])
@@ -290,16 +288,13 @@ class TestBenchThroughput:
         out = capsys.readouterr().out
         assert "throughput bench" in out
         assert "speedup vs seed" in out
-        for engine in ("seed", "fast", "fused", "parallel", "shm"):
+        for engine in ("seed", "fast", "fused", "parallel"):
             assert engine in out
 
         import json
 
         payload = json.loads((tmp_path / "tp.json").read_text())
-        assert set(payload["engines"]) == {
-            "seed", "fast", "fused", "parallel", "shm"
-        }
-        assert payload["shm"]["bytes_shared"] > 0
+        assert set(payload["engines"]) == {"seed", "fast", "fused", "parallel"}
         assert payload["traffic"]["fused"]["peak_intermediate_mb"] > 0
         assert ledger.exists()
         trajectory = json.loads(

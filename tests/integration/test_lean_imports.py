@@ -3,7 +3,8 @@
 A served UniVSA model runs XNOR/popcount over its extracted artifacts, so
 ``repro serve --model`` and a library caller of the batch runner must not
 import the trainer, the hardware models, the data generators or the
-search engine.  Each case runs in a fresh interpreter, because this test
+search engine — nor ``multiprocessing``, since the runtime runs on
+threads.  Each case runs in a fresh interpreter, because this test
 process has long since imported everything.
 """
 
@@ -24,6 +25,8 @@ SRC = Path(repro.cli.__file__).resolve().parents[1]
 
 #: Packages a deployed model never runs.
 UNUSED_AT_SERVE_TIME = (
+    "multiprocessing",
+    "concurrent.futures.process",
     "repro.nn",
     "repro.ldc",
     "repro.lehdc",
@@ -90,8 +93,7 @@ def _loaded_modules(code: str, model: Path) -> list[str]:
     program = (
         f"MODEL = {str(model)!r}\n"
         + code
-        + "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules "
-        "if m.startswith('repro'))))\n"
+        + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", program],

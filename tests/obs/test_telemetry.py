@@ -1,8 +1,7 @@
-"""Cross-process telemetry: the delta/merge protocol and its determinism
-contract (serial ≡ thread ≡ process merged totals).
+"""Cross-process telemetry: the delta/merge protocol, and the batch
+runner's determinism contract (serial ≡ thread merged totals).
 
-Process-pool scenarios build real pools over the tiny test model; the
-delta protocol itself is covered in-process with handcrafted deltas so
+The delta protocol is covered in-process with handcrafted deltas so
 every merge rule is pinned without pool overhead.
 """
 
@@ -24,14 +23,13 @@ from repro.obs import (
 )
 from repro.obs.registry import set_registry
 from repro.obs.telemetry import worker_telemetry_installed, worker_trace_rate
-from repro.runtime import ChaosSpec, ResilientBatchRunner, RetryPolicy
+from repro.runtime import ResilientBatchRunner
 
 LEVELS = 10
 SHAPE = (5, 8)
 CONFIG = UniVSAConfig(
     d_high=4, d_low=2, kernel_size=3, out_channels=6, voters=2, levels=LEVELS
 )
-FAST = RetryPolicy(max_retries=2, backoff_base_s=0.0, backoff_max_s=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -155,11 +153,11 @@ class TestWorkerInstall:
 
 
 class TestMergeDeterminism:
-    """Serial ≡ thread ≡ process: merged counter totals and per-stage
-    histogram call counts must be identical when the sharding is.
+    """Serial ≡ thread: counter totals and per-stage histogram call
+    counts must be identical when the sharding is.
 
     The packed engine records one ``packed.*`` observation per ``scores``
-    call, so all three paths run 40 samples as 4 shards of 10.
+    call, so both paths run 40 samples as 4 shards of 10.
     """
 
     N, SHARD = 40, 10
@@ -171,11 +169,11 @@ class TestMergeDeterminism:
                 engine.scores(samples[start : start + self.SHARD])
         return registry
 
-    def _pooled(self, engine, samples, executor):
+    def _pooled(self, engine, samples):
         registry = MetricsRegistry()
         with using_registry(registry):
             with ResilientBatchRunner(
-                engine, shard_size=self.SHARD, workers=2, executor=executor
+                engine, shard_size=self.SHARD, workers=2
             ) as runner:
                 runner.scores(samples)
         return registry
@@ -194,45 +192,11 @@ class TestMergeDeterminism:
         }
         return counters, stage_counts
 
-    def test_serial_thread_process_agree(self, engine):
+    def test_serial_and_thread_agree(self, engine):
         samples = _samples(self.N, seed=7)
         serial = self._packed_state(self._serial(engine, samples))
-        thread = self._packed_state(self._pooled(engine, samples, "thread"))
-        process_registry = self._pooled(engine, samples, "process")
-        process = self._packed_state(process_registry)
-        assert serial == thread == process
+        thread = self._packed_state(self._pooled(engine, samples))
+        assert serial == thread
         counters, stage_counts = serial
         assert counters["packed.samples"] == self.N
-        assert all(count == self.N // self.SHARD for count in stage_counts.values())
-        # Worker gauges arrive tagged per pid; the untagged name stays
-        # absent in the parent (never summed across processes).
-        gauges = process_registry.gauges()
-        tagged = [n for n in gauges if WORKER_GAUGE_SEP in n]
-        assert tagged
-        assert "kernels.pack_packbits" not in gauges
-
-    def test_crash_recovery_never_double_counts(self, engine):
-        """A chaos crash breaks the pool mid-batch; the retried shards
-        re-record from scratch (the crashed worker's registry died with
-        it), so merged totals still match the serial run exactly."""
-        samples = _samples(self.N, seed=8)
-        expected = engine.predict(samples)
-        registry = MetricsRegistry()
-        with using_registry(registry):
-            with ResilientBatchRunner(
-                engine,
-                shard_size=self.SHARD,
-                workers=2,
-                executor="process",
-                policy=FAST,
-                chaos=ChaosSpec(crash_on=frozenset({(0, 0)})),
-            ) as runner:
-                result = runner.run(samples)
-        np.testing.assert_array_equal(result.predictions, expected)
-        assert registry.counter("packed.samples").value == self.N
-        stage_counts = {
-            name: h.count
-            for name, h in registry.histograms().items()
-            if name.startswith("packed.")
-        }
         assert all(count == self.N // self.SHARD for count in stage_counts.values())

@@ -1,4 +1,4 @@
-"""The batch runner: order preservation, executor modes, observability."""
+"""The batch runner: order preservation, sharding, observability."""
 
 import numpy as np
 import pytest
@@ -69,10 +69,6 @@ class TestSharding:
     def test_shard_size_larger_than_batch(self, engine):
         runner = ResilientBatchRunner(engine, shard_size=100)
         assert runner._shards(3) == [(0, 3)]
-
-    def test_rejects_unknown_executor(self, engine):
-        with pytest.raises(ValueError, match="unknown executor"):
-            ResilientBatchRunner(engine, executor="fiber")
 
     def test_effective_shard_size_exposed(self, engine):
         runner = ResilientBatchRunner(engine, workers=2)
@@ -146,18 +142,17 @@ class TestChaosRegression:
     """Order-preservation pins under injected faults, exercised through
     ``scores``."""
 
-    def test_middle_shard_crash_retry_preserves_order(self, engine):
-        """A worker crash on the middle shard's first attempt must not
-        reorder results: the retried shard lands back in its span."""
+    def test_middle_shard_failure_retry_preserves_order(self, engine):
+        """A failure on the middle shard's first attempt must not reorder
+        results: the retried shard lands back in its span."""
         levels = _levels_batch(24, seed=6)
         expected = engine.scores(levels)
         with ResilientBatchRunner(
             engine,
             shard_size=8,
             workers=2,
-            executor="process",
             policy=RetryPolicy(max_retries=2, backoff_base_s=0.001),
-            chaos=ChaosSpec(crash_on=frozenset({(1, 0)})),
+            chaos=ChaosSpec(raise_on=frozenset({(1, 0)})),
         ) as runner:
             scores = runner.scores(levels)
         np.testing.assert_array_equal(scores, expected)
@@ -172,7 +167,6 @@ class TestChaosRegression:
             engine,
             shard_size=3,
             workers=4,
-            executor="thread",
             policy=RetryPolicy(backoff_base_s=0.0, backoff_max_s=0.0),
             chaos=ChaosSpec(delay_s=0.002),
         ) as runner:
@@ -224,16 +218,3 @@ class TestFailureCancelsSiblings:
         assert report.shards[0].errors == ["RuntimeError"]
         assert report.shards[3].status == "skipped"
 
-
-class TestProcessExecutor:
-    def test_matches_direct_engine(self, engine):
-        levels = _levels_batch(9, seed=5)
-        expected = engine.scores(levels)
-        registry = MetricsRegistry()
-        with using_registry(registry):
-            with ResilientBatchRunner(
-                engine, shard_size=3, workers=2, executor="process"
-            ) as runner:
-                np.testing.assert_array_equal(runner.scores(levels), expected)
-        # parent-side shard timings observed from worker-reported durations
-        assert registry.histogram("batch.shard").count == 3

@@ -1,14 +1,8 @@
 """Chaos harness: spec grammar, deterministic fault draws, kernel seam."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import repro
 from repro.runtime.chaos import (
     ChaosError,
     ChaosSpec,
@@ -17,7 +11,6 @@ from repro.runtime.chaos import (
     chaos_context,
     chaos_kernels,
     flip_words,
-    in_process_worker,
     parse_chaos,
 )
 from repro.vsa.kernels import WORD_BITS, get_kernels
@@ -25,11 +18,10 @@ from repro.vsa.kernels import WORD_BITS, get_kernels
 
 class TestGrammar:
     def test_full_spec(self):
-        spec = ChaosSpec.parse("raise:0.05,delay:10ms,bitflip:1e-4,crash:0.01,seed:9")
+        spec = ChaosSpec.parse("raise:0.05,delay:10ms,bitflip:1e-4,seed:9")
         assert spec.raise_rate == pytest.approx(0.05)
         assert spec.delay_s == pytest.approx(0.010)
         assert spec.bitflip_rate == pytest.approx(1e-4)
-        assert spec.crash_rate == pytest.approx(0.01)
         assert spec.seed == 9
         assert spec.enabled
 
@@ -79,11 +71,6 @@ class TestGrammar:
         assert state["bitflip"] == pytest.approx(1e-3)
         assert state["targeted"] is False
 
-    def test_has_crash(self):
-        assert not ChaosSpec(raise_rate=0.5).has_crash
-        assert ChaosSpec(crash_rate=0.1).has_crash
-        assert ChaosSpec(crash_on=frozenset({(0, 0)})).has_crash
-
     def test_state_plane_directives(self):
         spec = ChaosSpec.parse("corrupt:0.05,truncate,seed:7")
         assert spec.corrupt_rate == pytest.approx(0.05)
@@ -97,57 +84,6 @@ class TestGrammar:
         assert not ChaosSpec.parse("truncate:0").truncate
         with pytest.raises(ValueError, match="corrupt_rate"):
             ChaosSpec(corrupt_rate=2.0)
-
-
-class TestCrashGate:
-    def test_serving_process_survives_certain_crash(self):
-        """crash_rate=1.0 hits every draw, yet outside a marked pool
-        worker the kill is skipped — chaos must never take down the
-        orchestrator (thread executors, inline and fallback attempts)."""
-        assert not in_process_worker()
-        with chaos_context(ChaosSpec(crash_rate=1.0), 0, 0):
-            pass
-        with chaos_context(ChaosSpec(crash_on=frozenset({(2, 0)})), 2, 0):
-            pass  # targeted crash hits too, and is skipped too
-
-    def test_skipped_crash_draw_keeps_raise_parity(self):
-        """The gated crash still consumes its rng draw, so the raise
-        decision is the same function of (seed, shard, attempt) whether
-        the attempt runs in a worker or in the serving process."""
-        spec = ChaosSpec(crash_rate=0.5, raise_rate=0.5, seed=13)
-        outcomes = []
-        for shard in range(16):
-            rng = np.random.default_rng((spec.seed, shard, 0))
-            rng.random()  # the crash draw, consumed but not acted on
-            expected = bool(rng.random() < spec.raise_rate)
-            try:
-                with chaos_context(spec, shard, 0):
-                    pass
-                outcomes.append(False)
-            except ChaosError:
-                outcomes.append(True)
-            assert outcomes[-1] == expected
-        assert True in outcomes and False in outcomes
-
-    def test_marked_worker_process_is_killed(self):
-        """In a process marked as a pool worker the crash fault fires
-        for real: hard exit 1, no exception, no cleanup."""
-        src_dir = str(Path(repro.__file__).parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src_dir, env.get("PYTHONPATH")) if p
-        )
-        code = (
-            "from repro.runtime import chaos\n"
-            "chaos.mark_process_worker()\n"
-            "with chaos.chaos_context(chaos.ChaosSpec(crash_rate=1.0), 0, 0):\n"
-            "    pass\n"
-            "raise SystemExit(99)  # unreachable: the crash fires first\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, timeout=60
-        )
-        assert proc.returncode == 1, proc.stderr.decode()
 
 
 class TestDeterminism:

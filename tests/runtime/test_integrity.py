@@ -315,7 +315,7 @@ class TestScrubber:
             engine = BitPackedUniVSA(copy.deepcopy(artifacts), mode="fused")
             if cc == "1" and engine.conv_backend != "cc":
                 pytest.skip("compiled conv backend unavailable")
-            assert "engine.conv_tables" in engine.operand_state()[0]
+            assert "engine.conv_tables" in engine.resident_operands()
             expected = engine.scores(samples)
             scrubber = IntegrityScrubber(engine)
             engine._conv_tables[...] = 0

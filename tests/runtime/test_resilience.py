@@ -1,6 +1,6 @@
 """Resilient serving: validation, retry/fallback ladder, breaker, reports."""
 
-from concurrent.futures.process import BrokenProcessPool
+import threading
 
 import numpy as np
 import pytest
@@ -13,11 +13,9 @@ from repro.runtime import (
     CircuitOpenError,
     ResilientBatchRunner,
     RetryPolicy,
-    ShardStatus,
     serving_predict_fn,
     validate_levels,
 )
-from repro.runtime.chaos import ChaosError
 from repro.runtime.resilience import QUARANTINED_LABEL
 
 LEVELS = 10
@@ -278,6 +276,31 @@ class TestRetry:
         np.testing.assert_array_equal(result.scores, engine.scores(levels))
         assert result.report.retries == 2
 
+    def test_chaos_raise_acceptance_batch(self, engine):
+        """Batch 256 on a 2-worker pool under ``raise:0.1`` chaos
+        completes order-preserving and bit-exact."""
+        levels = _levels_batch(256, seed=11)
+        chaos = ChaosSpec.parse("raise:0.1", seed=7)
+        registry = MetricsRegistry()
+        with using_registry(registry):
+            with ResilientBatchRunner(
+                engine,
+                shard_size=16,
+                workers=2,
+                policy=RetryPolicy(max_retries=3, backoff_base_s=0.001),
+                chaos=chaos,
+            ) as runner:
+                result = runner.run(levels)
+        report = result.report
+        assert report.batch == 256
+        assert len(report.shards) == 16
+        assert all(s.status in ("ok", "fallback") for s in report.shards)
+        assert report.retries > 0  # chaos actually fired at this seed
+        np.testing.assert_array_equal(
+            result.predictions, engine.scores(levels).argmax(axis=1)
+        )
+        assert registry.counter("resilience.retries").value == report.retries
+
 
 class TestFallback:
     def test_exhausted_retries_fall_back_to_seed_engine(self, engine):
@@ -402,152 +425,14 @@ class TestBreaker:
         np.testing.assert_array_equal(result.scores, engine.scores(levels))
 
 
-class TestProcessExecutor:
-    def test_chaos_raise_acceptance_batch(self, engine):
-        """The ISSUE acceptance scenario: batch 256, process pool,
-        ``raise:0.1`` chaos — completes order-preserving and bit-exact."""
-        levels = _levels_batch(256, seed=11)
-        chaos = ChaosSpec.parse("raise:0.1", seed=7)
-        registry = MetricsRegistry()
-        with using_registry(registry):
-            with ResilientBatchRunner(
-                engine,
-                shard_size=16,
-                workers=2,
-                executor="process",
-                policy=RetryPolicy(max_retries=3, backoff_base_s=0.001),
-                chaos=chaos,
-            ) as runner:
-                result = runner.run(levels)
-        report = result.report
-        assert report.batch == 256
-        assert len(report.shards) == 16
-        assert all(s.status in ("ok", "fallback") for s in report.shards)
-        assert report.retries > 0  # chaos actually fired at this seed
-        np.testing.assert_array_equal(
-            result.predictions, engine.scores(levels).argmax(axis=1)
-        )
-        assert registry.counter("resilience.retries").value == report.retries
-
-    def test_worker_crash_recovers_on_fresh_pool(self, engine):
-        """A hard worker death (os._exit) breaks the pool; the runner
-        replaces it and re-serves the lost shards bit-exact."""
-        levels = _levels_batch(32, seed=12)
-        chaos = ChaosSpec(crash_on=frozenset({(1, 0)}))
-        with ResilientBatchRunner(
-            engine,
-            shard_size=8,
-            workers=2,
-            executor="process",
-            policy=RetryPolicy(max_retries=2, backoff_base_s=0.001),
-            chaos=chaos,
-        ) as runner:
-            result = runner.run(levels)
-        np.testing.assert_array_equal(result.scores, engine.scores(levels))
-        report = result.report
-        assert all(s.status == "ok" for s in report.shards)
-        crashed = report.shards[1]
-        assert crashed.retries >= 1
-        assert "BrokenProcessPool" in crashed.errors
-
-    def test_simultaneous_crashes_complete_batch(self, engine):
-        """Every first attempt crashes its worker, so pool breakage can
-        surface at submit time too (initial enqueue, retry resubmission,
-        recovery resubmission).  All of it must feed the retry ladder —
-        the batch completes instead of aborting on a BrokenProcessPool
-        raised outside a shard's result() call."""
-        levels = _levels_batch(32, seed=19)
-        chaos = ChaosSpec(crash_on=frozenset({(s, 0) for s in range(4)}))
-        with ResilientBatchRunner(
-            engine,
-            shard_size=8,
-            workers=2,
-            executor="process",
-            policy=RetryPolicy(max_retries=3, backoff_base_s=0.001),
-            chaos=chaos,
-        ) as runner:
-            result = runner.run(levels)
-        np.testing.assert_array_equal(result.scores, engine.scores(levels))
-        assert all(
-            s.status in ("ok", "fallback") for s in result.report.shards
-        )
-
-    def test_recover_pool_keeps_pre_break_errors(self, engine, monkeypatch):
-        """A future that resolved with a real error before the pool broke
-        keeps its outcome for the collector's ladder; only execution
-        genuinely lost to the breakage is resubmitted."""
-        runner = ResilientBatchRunner(
-            engine, executor="process", policy=FAST_POLICY, chaos=ChaosSpec()
-        )
-        statuses = [ShardStatus(i, i * 4, i * 4 + 4) for i in range(4)]
-        survived = _FakeFuture()  # completed with a result
-        real_error = _FakeFuture(exc=ChaosError("pre-break failure"))
-        lost = _FakeFuture(exc=BrokenProcessPool("lost in-flight"))
-        futures = {0: survived, 1: real_error, 2: lost}
-        parts = [np.zeros((4, 1)), None, None, None]
-        submitted = []
-        monkeypatch.setattr(runner, "_replace_pool", lambda stale=None: "fresh-pool")
-        monkeypatch.setattr(
-            runner,
-            "_submit",
-            lambda pool, shard, attempt, levels, span=None, segments=None: (
-                submitted.append((shard, attempt)) or f"resubmitted-{shard}"
-            ),
-        )
-        clean = np.zeros((16,) + SHAPE, dtype=np.intp)
-        runner._recover_pool(
-            statuses, futures, clean, parts, MetricsRegistry(), current=3
-        )
-        assert futures[1] is real_error
-        assert statuses[1].retries == 0 and statuses[1].errors == []
-        assert submitted == [(2, 1)]
-        assert futures[2] == "resubmitted-2"
-        assert statuses[2].retries == 1
-        assert statuses[2].errors == ["BrokenProcessPool"]
-
-    def test_recover_pool_passes_stale_pool(self, engine, monkeypatch):
-        """Recovery must replace only the pool the broken future ran on.
-
-        Pipelined batches share one pool: if a sibling batch already
-        swapped the broken executor for a fresh one, an unconditional
-        replace would shut the healthy replacement down mid-flight and
-        cascade the breakage back to the sibling."""
-        runner = ResilientBatchRunner(
-            engine, executor="process", policy=FAST_POLICY, chaos=ChaosSpec()
-        )
-        statuses = [ShardStatus(0, 0, 4)]
-        seen = []
-        monkeypatch.setattr(
-            runner,
-            "_replace_pool",
-            lambda stale=None: seen.append(stale) or "fresh-pool",
-        )
-        runner._recover_pool(
-            statuses,
-            {},
-            np.zeros((4,) + SHAPE, dtype=np.intp),
-            [None],
-            MetricsRegistry(),
-            current=0,
-            pools={0: "broken-pool"},
-        )
-        assert seen == ["broken-pool"]
-
-
 class TestPipelinedConcurrency:
-    """Concurrent batches through ONE shared process runner stay bit-exact.
+    """Concurrent batches through ONE shared runner stay bit-exact.
 
     This is what ``max_inflight=2`` serving does: two executor threads
-    interleave ``runner.run()`` on the same pool, arena, and operand
-    plane, with micro-batches of varying sizes.  The varied sizes churn
-    the workers' attach cache past its LRU bound — the regression this
-    pins down is an eviction unmapping pages under the worker engine's
-    live operand views (segfault → chaos-free BrokenProcessPool →
-    recovery churn corrupting innocent batches)."""
+    interleave ``runner.run()`` on the same thread pool and engine, with
+    micro-batches of varying sizes."""
 
     def test_concurrent_varied_batches_bit_exact(self, engine):
-        import threading
-
         registry = MetricsRegistry()
         failures = []
         with using_registry(registry):
@@ -555,7 +440,6 @@ class TestPipelinedConcurrency:
                 engine,
                 shard_size=8,
                 workers=2,
-                executor="process",
                 policy=FAST_POLICY,
                 chaos=ChaosSpec(),
             ) as runner:
@@ -585,104 +469,66 @@ class TestPipelinedConcurrency:
                 for t in threads:
                     t.join()
         assert failures == []
-        # Chaos-free concurrency must not break a single pool worker.
-        assert registry.counter("resilience.broken_pools").value == 0
         assert registry.counter("resilience.errors").value == 0
 
 
-class TestCrashGating:
-    def test_crash_spec_rejected_on_thread_executor(self, engine):
-        """`crash` can only kill process-pool workers; a thread-executor
-        runner rejects the spec instead of letting it either no-op or —
-        the seed bug — hard-kill the serving process itself."""
-        with pytest.raises(ValueError, match="executor='process'"):
-            ResilientBatchRunner(
-                engine, policy=FAST_POLICY, chaos=ChaosSpec(crash_rate=0.1)
-            )
-        with pytest.raises(ValueError, match="executor='process'"):
-            ResilientBatchRunner(
-                engine,
-                policy=FAST_POLICY,
-                chaos=ChaosSpec(crash_on=frozenset({(0, 0)})),
-            )
+def _batch_threads() -> set:
+    return {t for t in threading.enumerate() if t.name.startswith("repro-batch")}
 
-    def test_single_shard_inline_run_survives_certain_crash(self, engine):
-        """With one shard the process executor computes inline in the
-        serving process; a crash_rate=1.0 draw there must be skipped,
-        not exit the orchestrator."""
-        levels = _levels_batch(8, seed=15)
+
+class TestNoLeakedThreads:
+    """Closing a runner joins its pool: no ``repro-batch`` thread it
+    started outlives it, whether the batch succeeded under chaos or the
+    breaker tripped."""
+
+    def test_closed_runner_leaves_no_thread_under_chaos(self, engine):
+        levels = _levels_batch(64, seed=21)
+        chaos = ChaosSpec.parse("raise:0.1,delay:1ms", seed=3)
+        before = _batch_threads()
         with ResilientBatchRunner(
-            engine,
-            shard_size=64,
-            workers=2,
-            executor="process",
-            policy=FAST_POLICY,
-            chaos=ChaosSpec(crash_rate=1.0),
+            engine, shard_size=8, workers=2, policy=FAST_POLICY, chaos=chaos
         ) as runner:
             result = runner.run(levels)
-            assert runner._pool is None  # inline path, no pool built
+            started = _batch_threads() - before
+        assert started  # the pool really ran
+        assert result.report.retries > 0  # and chaos really fired
         np.testing.assert_array_equal(result.scores, engine.scores(levels))
-        assert result.report.ok
+        assert not any(t.is_alive() for t in started)
 
-    def test_fallback_crash_draw_does_not_kill_parent(self, engine):
-        """A shard whose every pool attempt crashes falls back inline;
-        the fallback attempt's own targeted crash draw fires in the
-        parent and must be skipped there."""
-        levels = _levels_batch(16, seed=16)
-        chaos = ChaosSpec(crash_on=frozenset({(0, a) for a in range(8)}))
-        with ResilientBatchRunner(
-            engine,
-            shard_size=8,
-            workers=2,
-            executor="process",
-            policy=RetryPolicy(max_retries=1, backoff_base_s=0.001),
-            chaos=chaos,
-        ) as runner:
-            result = runner.run(levels)
-        np.testing.assert_array_equal(result.scores, engine.scores(levels))
-        status = result.report.shards[0]
-        assert status.status == "fallback" and status.engine == "seed"
+    def test_no_thread_survives_an_open_breaker(self, engine):
+        levels = _levels_batch(32, seed=22)
+        chaos = ChaosSpec(raise_rate=1.0, delay_s=0.001)
+        plain = RetryPolicy(max_retries=0, fallback=False, breaker_threshold=1)
+        before = _batch_threads()
+        runner = ResilientBatchRunner(
+            engine, shard_size=8, workers=2, policy=plain, chaos=chaos
+        )
+        try:
+            with pytest.raises(CircuitOpenError):
+                runner.run(levels)
+            started = _batch_threads() - before
+        finally:
+            runner.close()
+        assert started
+        assert not any(t.is_alive() for t in started)
 
 
 class TestInlineBitflip:
-    def test_single_shard_inline_bitflip_under_process_executor(self, engine):
-        """Bitflip chaos must reach the inline path of a process-executor
-        runner (the seed bug installed chaos kernels only for thread
-        executors and pool workers, so the configured fault silently did
-        nothing here)."""
+    def test_single_shard_inline_bitflip(self, engine):
+        """Bitflip chaos must reach a shard that runs inline on the
+        calling thread, not only shards on pool threads."""
         levels = _levels_batch(8, seed=17)
         chaos = ChaosSpec(bitflip_rate=0.05, seed=3)
         with ResilientBatchRunner(
             engine,
             shard_size=64,
             workers=2,
-            executor="process",
             policy=FAST_POLICY,
             chaos=chaos,
         ) as runner:
             result = runner.run(levels)
             assert runner._pool is None  # inline path, no pool built
         assert not np.array_equal(result.scores, engine.scores(levels))
-
-
-class _FakeFuture:
-    """Minimal concurrent.futures.Future stand-in for recovery tests."""
-
-    def __init__(self, exc=None, done=True):
-        self._exc = exc
-        self._done = done
-
-    def done(self):
-        return self._done
-
-    def cancelled(self):
-        return False
-
-    def exception(self):
-        return self._exc
-
-    def cancel(self):
-        return False
 
 
 class _CountingEngine:

@@ -898,7 +898,6 @@ class TestChaosServing:
                 engine,
                 shard_size=2,
                 workers=2,
-                executor="thread",
                 policy=FAST,
                 chaos=ChaosSpec(raise_on=frozenset({(0, 0)})),
             ) as runner:

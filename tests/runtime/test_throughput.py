@@ -1,4 +1,4 @@
-"""bench_throughput: five engine configs, bit-exactness gate, report."""
+"""bench_throughput: four engine configs, bit-exactness gate, report."""
 
 import json
 
@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from repro.runtime import ThroughputReport, bench_throughput
-from repro.runtime.shm import leaked_segments
 
-ENGINES = {"seed", "fast", "fused", "parallel", "shm"}
+ENGINES = {"seed", "fast", "fused", "parallel"}
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +26,7 @@ def report():
 
 
 class TestBenchThroughput:
-    def test_all_five_engines_measured(self, report):
+    def test_every_engine_measured(self, report):
         assert set(report.engines) == ENGINES
         for engine in report.engines.values():
             assert engine.samples_per_s > 0
@@ -38,11 +37,6 @@ class TestBenchThroughput:
         seed = report.engines["seed"].samples_per_s
         parallel = report.engines["parallel"].samples_per_s
         assert report.speedup_vs_seed == pytest.approx(parallel / seed)
-
-    def test_shm_speedup_computed(self, report):
-        shm = report.engines["shm"].samples_per_s
-        parallel = report.engines["parallel"].samples_per_s
-        assert report.speedup_shm_vs_parallel == pytest.approx(shm / parallel)
 
     def test_stage_breakdowns_present(self, report):
         assert any(
@@ -55,15 +49,6 @@ class TestBenchThroughput:
     def test_kernels_recorded(self, report):
         assert report.kernels["set"] in ("fast", "legacy")
         assert "numpy" in report.kernels
-
-    def test_shm_handoff_accounted(self, report):
-        assert report.shm["bytes_shared"] > 0
-        assert report.shm["bytes_pickled_estimate"] > 0
-        assert report.shm["attach"] >= 1
-        assert report.shm["report"]["shm_bytes"] > 0
-        assert report.shm["report"]["n_shards"] >= 1
-        assert report.shm["report"]["shard_size"] >= 1
-        assert leaked_segments() == []
 
     def test_traffic_models_per_mode(self, report):
         assert set(report.traffic) == {"legacy", "fast", "fused"}
@@ -79,14 +64,10 @@ class TestBenchThroughput:
             "workers",
             "accuracy",
             "speedup_vs_seed",
-            "speedup_shm_vs_parallel",
             "samples_per_s",
             "samples_per_s_seed",
             "samples_per_s_fast",
             "samples_per_s_fused",
-            "samples_per_s_shm",
-            "bytes_shared",
-            "bytes_pickled_estimate",
             "intermediates_peak_mb",
             "traffic_bytes_per_sample_fused",
             "traffic_bytes_per_sample_fast",
@@ -99,7 +80,6 @@ class TestBenchThroughput:
         payload = json.loads(json.dumps(report.as_dict()))
         assert payload["benchmark"] == "bci-iii-v"
         assert payload["engines"]["fast"]["samples_per_s"] > 0
-        assert payload["shm"]["bytes_shared"] > 0
         assert payload["traffic"]["fused"]["mode"] == "fused"
 
     def test_render_mentions_every_engine(self, report):
@@ -107,7 +87,6 @@ class TestBenchThroughput:
         for name in ENGINES:
             assert name in text
         assert "speedup vs seed" in text
-        assert "shm+fused vs parallel" in text
 
 
 class TestSpeedupEdgeCases:
@@ -118,10 +97,8 @@ class TestSpeedupEdgeCases:
             repeats=1,
             workers=1,
             shard_size=None,
-            executor="thread",
             accuracy=0.0,
             kernels={},
             engines={},
         )
         assert report.speedup_vs_seed == 0.0
-        assert report.speedup_shm_vs_parallel == 0.0
